@@ -3,10 +3,10 @@
 //! ququarts" penalty, and the `X0,1` single-qubit merge pass.
 
 use qompress::{
-    compile_with_options, map_circuit, merge_singles, route, schedule_ops, trace_coherence,
-    CompilerConfig, MappingOptions, Metrics,
+    map_circuit, merge_singles, route_cached, schedule_ops, trace_coherence, Compiler,
+    CompilerConfig, MappingOptions, Metrics, TopologyCache,
 };
-use qompress_arch::{ExpandedGraph, Topology};
+use qompress_arch::Topology;
 use qompress_bench::{bench_circuit, fmt, ResultSink};
 use qompress_circuit::CircuitDag;
 use qompress_workloads::Benchmark;
@@ -36,7 +36,8 @@ fn lookahead_ablation() {
                 lookahead,
                 ..CompilerConfig::paper()
             };
-            let r = compile_with_options(&circuit, &topo, &config, &MappingOptions::eqm());
+            let session = Compiler::builder().config(config).caching(false).build();
+            let r = session.compile_with_options(&circuit, &topo, &MappingOptions::eqm());
             sink.row(&[
                 bench.name().into(),
                 lookahead.to_string(),
@@ -61,7 +62,8 @@ fn penalty_ablation() {
                 ququart_route_penalty: penalty,
                 ..CompilerConfig::paper()
             };
-            let r = compile_with_options(&circuit, &topo, &config, &MappingOptions::eqm());
+            let session = Compiler::builder().config(config).caching(false).build();
+            let r = session.compile_with_options(&circuit, &topo, &MappingOptions::eqm());
             sink.row(&[
                 bench.name().into(),
                 penalty.to_string(),
@@ -82,12 +84,12 @@ fn merge_ablation() {
         let circuit = bench_circuit(bench, 15, 7);
         let topo = Topology::grid(15);
         let dag = CircuitDag::build(&circuit);
-        let expanded = ExpandedGraph::new(topo.clone());
+        let cache = TopologyCache::new(topo.clone(), &config);
         for merge in [true, false] {
             let mut layout = map_circuit(&circuit, &topo, &config, &MappingOptions::eqm());
             let initial = layout.placements();
             let encoded = layout.encoded_flags().to_vec();
-            let ops = route(&circuit, &dag, &mut layout, &expanded, &config);
+            let ops = route_cached(&circuit, &dag, &mut layout, &cache, &config);
             let ops = if merge { merge_singles(ops) } else { ops };
             let schedule = schedule_ops(ops, topo.n_nodes(), &config.library);
             let trace = trace_coherence(&schedule, &initial, &encoded);

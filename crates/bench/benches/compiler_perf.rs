@@ -4,22 +4,27 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qompress::{
-    compile, compile_with_options, map_circuit, route_cached, run_batch, BatchJob, BatchRequest,
-    Compiler, CompilerConfig, ExhaustiveOptions, MappingOptions, Strategy,
+    map_circuit, route_cached, BatchJob, Compiler, CompilerConfig, ExhaustiveOptions,
+    MappingOptions, Strategy,
 };
 use qompress_arch::Topology;
 use qompress_circuit::CircuitDag;
 use qompress_workloads::{build, random_circuit, Benchmark};
 
+/// A one-shot caching-off session: each iteration pays a whole cold
+/// compile, per-topology precomputation included.
+fn cold() -> Compiler {
+    Compiler::builder().caching(false).build()
+}
+
 fn bench_full_pipeline(c: &mut Criterion) {
-    let config = CompilerConfig::paper();
     let mut group = c.benchmark_group("compile_cuccaro");
     for size in [10usize, 20, 30] {
         let circuit = build(Benchmark::Cuccaro, size, 7);
         let topo = Topology::grid(size);
         for strategy in [Strategy::QubitOnly, Strategy::Eqm, Strategy::RingBased] {
             group.bench_with_input(BenchmarkId::new(strategy.name(), size), &size, |b, _| {
-                b.iter(|| compile(&circuit, &topo, strategy, &config));
+                b.iter(|| cold().compile(&circuit, &topo, strategy));
             });
         }
     }
@@ -40,21 +45,21 @@ fn bench_mapping_only(c: &mut Criterion) {
 }
 
 fn bench_strategy_search(c: &mut Criterion) {
-    let config = CompilerConfig::paper();
     let circuit = build(Benchmark::Cuccaro, 12, 7);
     let topo = Topology::grid(12);
     let mut group = c.benchmark_group("strategy_search");
     group.sample_size(10);
     group.bench_function("pp", |b| {
-        b.iter(|| compile(&circuit, &topo, Strategy::ProgressivePairing, &config));
+        b.iter(|| cold().compile(&circuit, &topo, Strategy::ProgressivePairing));
     });
     group.bench_function("ec_one_round", |b| {
+        // A fresh caching session per iteration, as a reused one would
+        // serve every candidate from its result cache.
         b.iter(|| {
-            qompress::compile_exhaustive(
+            Compiler::new().compile_exhaustive(
                 &circuit,
                 &topo,
-                &config,
-                &qompress::ExhaustiveOptions {
+                &ExhaustiveOptions {
                     ordered: true,
                     max_rounds: 1,
                     ..Default::default()
@@ -63,7 +68,7 @@ fn bench_strategy_search(c: &mut Criterion) {
         });
     });
     group.bench_function("qubit_only_pipeline", |b| {
-        b.iter(|| compile_with_options(&circuit, &topo, &config, &MappingOptions::qubit_only()));
+        b.iter(|| cold().compile_with_options(&circuit, &topo, &MappingOptions::qubit_only()));
     });
     group.finish();
 }
@@ -98,7 +103,12 @@ fn bench_batch_throughput(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| run_batch(&BatchRequest::new(jobs.clone(), workers)));
+                b.iter(|| {
+                    Compiler::builder()
+                        .workers(workers)
+                        .build()
+                        .compile_batch(&jobs)
+                });
             },
         );
     }

@@ -5,7 +5,7 @@
 //! Paper shape: both reach similar success-rate gains through different
 //! compression sequences.
 
-use qompress::{compile_exhaustive, CompilerConfig, ExhaustiveOptions, Strategy};
+use qompress::{Compiler, ExhaustiveOptions, Strategy};
 use qompress_arch::Topology;
 use qompress_bench::{bench_circuit, fmt, ResultSink};
 use qompress_workloads::Benchmark;
@@ -14,9 +14,11 @@ fn main() {
     let size = 16;
     let circuit = bench_circuit(Benchmark::QaoaCylinder, size, 7);
     let topo = Topology::grid(size);
-    let config = CompilerConfig::paper();
-
-    let baseline = qompress::compile(&circuit, &topo, Strategy::QubitOnly, &config);
+    let baseline =
+        Compiler::builder()
+            .caching(false)
+            .build()
+            .compile(&circuit, &topo, Strategy::QubitOnly);
     let mut sink = ResultSink::create(
         "fig04_exhaustive",
         &[
@@ -40,10 +42,9 @@ fn main() {
     ]);
 
     for (label, ordered) in [("critical-path", true), ("unordered", false)] {
-        let (best, steps) = compile_exhaustive(
+        let (best, steps) = Compiler::new().compile_exhaustive(
             &circuit,
             &topo,
-            &config,
             &ExhaustiveOptions {
                 ordered,
                 max_rounds: 8,

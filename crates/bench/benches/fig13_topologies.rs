@@ -5,13 +5,13 @@
 //! Paper shape: no significant difference between architectures — the
 //! compression methods adapt to all three with similar effect.
 
-use qompress::{compile, CompilerConfig, Strategy};
+use qompress::{Compiler, Strategy};
 use qompress_arch::Topology;
 use qompress_bench::{bench_circuit, fmt, min_median_max, relative, sweep_sizes, ResultSink};
 use qompress_workloads::Benchmark;
 
 fn main() {
-    let config = CompilerConfig::paper();
+    let session = Compiler::builder().caching(false).build();
     let strategies = [Strategy::Eqm, Strategy::RingBased];
     let mut sink = ResultSink::create(
         "fig13_topologies",
@@ -36,8 +36,8 @@ fn main() {
                         _ => Topology::ring(65),
                     };
                     let circuit = bench_circuit(bench, size, 7);
-                    let qo = compile(&circuit, &topo, Strategy::QubitOnly, &config);
-                    let r = compile(&circuit, &topo, strategy, &config);
+                    let qo = session.compile(&circuit, &topo, Strategy::QubitOnly);
+                    let r = session.compile(&circuit, &topo, strategy);
                     ratios.push(relative(r.metrics.gate_eps, qo.metrics.gate_eps));
                 }
                 let (min, median, max) = min_median_max(&mut ratios);

@@ -7,7 +7,7 @@
 //! qompress-cli --list
 //! ```
 
-use qompress::{compile, CompilerConfig, Strategy};
+use qompress::{Compiler, CompilerConfig, Strategy};
 use qompress_arch::Topology;
 use qompress_workloads::{build, Benchmark, ALL_BENCHMARKS};
 
@@ -128,7 +128,8 @@ fn main() {
         topology,
     );
 
-    let result = compile(&circuit, &topology, args.strategy, &config);
+    let session = Compiler::builder().config(config).caching(false).build();
+    let result = session.compile(&circuit, &topology, args.strategy);
     let problems = result.schedule.validate(&topology);
     assert!(problems.is_empty(), "internal error: {problems:?}");
     print!("{result}");

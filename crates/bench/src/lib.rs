@@ -12,7 +12,7 @@
 
 #![warn(missing_docs)]
 
-use qompress::{compile, CompilationResult, CompilerConfig, Strategy};
+use qompress::{CompilationResult, Compiler, CompilerConfig, Strategy};
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
 use qompress_workloads::{build, Benchmark};
@@ -56,7 +56,8 @@ pub fn bench_circuit(bench: Benchmark, size: usize, seed: u64) -> Circuit {
     build(bench, size, seed)
 }
 
-/// Compiles one point of a sweep on the "just large enough" grid (§6.1).
+/// Compiles one point of a sweep on the "just large enough" grid (§6.1),
+/// on a caching-off session.
 pub fn compile_point(
     bench: Benchmark,
     size: usize,
@@ -66,7 +67,11 @@ pub fn compile_point(
     let size = size.max(bench.min_size());
     let circuit = bench_circuit(bench, size, 7);
     let topo = Topology::grid(size);
-    compile(&circuit, &topo, strategy, config)
+    let session = Compiler::builder()
+        .config(config.clone())
+        .caching(false)
+        .build();
+    std::sync::Arc::unwrap_or_clone(session.compile(&circuit, &topo, strategy))
 }
 
 /// A CSV file under `results/`, also echoed to stdout as aligned columns.

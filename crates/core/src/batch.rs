@@ -1,27 +1,22 @@
-//! Parallel batch compilation.
+//! Parallel batch compilation: the job and result types of
+//! [`crate::Compiler::compile_batch`] and
+//! [`crate::Compiler::try_compile_batch`].
 //!
-//! A [`BatchRequest`] carries a list of independent jobs — each a
-//! `(circuit, strategy, topology)` triple — and [`run_batch`] submits them
-//! to the persistent worker pool of a one-shot [`crate::Compiler`]
-//! session's job service, then waits for every result. Distinct
-//! topologies are deduplicated into shared [`crate::TopologyCache`]s by
-//! structural fingerprint, so the expanded slot graph and the distance
-//! oracles are built once per topology instead of once per job, and
-//! repeated jobs are served out of the session's content-addressed result
-//! cache.
+//! A batch is a list of independent [`BatchJob`]s — each a `(circuit,
+//! strategy, topology)` triple — submitted to the persistent worker pool
+//! of a session's job service. Distinct topologies are deduplicated into
+//! shared [`crate::TopologyCache`]s by structural fingerprint, so the
+//! expanded slot graph and the distance oracles are built once per
+//! topology instead of once per job, and repeated jobs are served out of
+//! the session's content-addressed result cache.
 //!
 //! Every individual compilation is deterministic, jobs never communicate,
 //! and results are stored at their input index — so the output is
-//! **identical for any worker count**, including the serial `workers = 1`
-//! run (pinned by `tests/batch_parallel.rs`). Long-running services that
-//! submit many batches should hold one [`crate::Compiler`] and call
-//! [`crate::Compiler::compile_batch`] directly, so caches persist across
-//! requests; `run_batch` exists as the stateless convenience wrapper.
+//! **identical for any worker count**, including a serial `workers(1)`
+//! session (pinned by `tests/batch_parallel.rs`).
 
-use crate::config::CompilerConfig;
 use crate::pipeline::CompilationResult;
 use crate::result_cache::CacheStats;
-use crate::session::Compiler;
 use crate::strategies::Strategy;
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
@@ -64,28 +59,6 @@ impl BatchJob {
     }
 }
 
-/// A batch of compilation jobs plus execution settings.
-#[derive(Debug, Clone)]
-pub struct BatchRequest {
-    /// The jobs, in the order results are returned.
-    pub jobs: Vec<BatchJob>,
-    /// Worker thread count; `0` and `1` both mean serial execution.
-    pub workers: usize,
-    /// Compiler configuration shared by every job.
-    pub config: CompilerConfig,
-}
-
-impl BatchRequest {
-    /// A request running `jobs` with the paper configuration.
-    pub fn new(jobs: Vec<BatchJob>, workers: usize) -> Self {
-        BatchRequest {
-            jobs,
-            workers,
-            config: CompilerConfig::paper(),
-        }
-    }
-}
-
 /// The outcome of one job: its input label plus the compilation.
 ///
 /// The result is behind an [`Arc`] because a session may serve the same
@@ -95,7 +68,7 @@ impl BatchRequest {
 pub struct BatchJobResult {
     /// Label copied from the input job.
     pub label: String,
-    /// Position of the job in [`BatchRequest::jobs`].
+    /// Position of the job in the submitted slice.
     pub job_index: usize,
     /// The compiled circuit and its metrics.
     pub result: Arc<CompilationResult>,
@@ -204,32 +177,10 @@ impl BatchResult {
     }
 }
 
-/// Compiles every job of `request` over a worker pool.
-///
-/// Stateless convenience wrapper: builds a one-shot [`Compiler`] session
-/// for `request.config` (with `0` workers meaning serial, matching the
-/// historical contract) and delegates to [`Compiler::compile_batch`],
-/// which submits every job to the session's job service and waits.
-/// Workers pull jobs from the shared FIFO queue, compile against the
-/// deduplicated per-topology caches, and results are collected back in
-/// input order — so the returned order (and content) is independent of
-/// scheduling.
-///
-/// # Panics
-///
-/// Panics if any job's compilation panics (e.g. a circuit too large for
-/// its topology); the panic propagates out of the thread scope.
-pub fn run_batch(request: &BatchRequest) -> BatchResult {
-    Compiler::builder()
-        .config(request.config.clone())
-        .workers(request.workers.max(1))
-        .build()
-        .compile_batch(&request.jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Compiler;
     use qompress_circuit::Gate;
 
     fn ghz(n: usize) -> Circuit {
@@ -241,7 +192,7 @@ mod tests {
         c
     }
 
-    fn small_request(workers: usize) -> BatchRequest {
+    fn small_jobs() -> Vec<BatchJob> {
         let mut jobs = Vec::new();
         for (i, strategy) in [Strategy::QubitOnly, Strategy::Eqm, Strategy::RingBased]
             .into_iter()
@@ -260,26 +211,32 @@ mod tests {
                 Topology::line(4),
             ));
         }
-        BatchRequest::new(jobs, workers)
+        jobs
+    }
+
+    fn run(jobs: &[BatchJob], workers: usize) -> BatchResult {
+        Compiler::builder()
+            .workers(workers)
+            .build()
+            .compile_batch(jobs)
     }
 
     #[test]
     fn batch_results_are_input_ordered() {
-        let req = small_request(3);
-        let out = run_batch(&req);
-        assert_eq!(out.results.len(), req.jobs.len());
+        let jobs = small_jobs();
+        let out = run(&jobs, 3);
+        assert_eq!(out.results.len(), jobs.len());
         for (i, r) in out.results.iter().enumerate() {
             assert_eq!(r.job_index, i);
-            assert_eq!(r.label, req.jobs[i].label);
-            assert_eq!(r.result.strategy, req.jobs[i].strategy.name());
+            assert_eq!(r.label, jobs[i].label);
+            assert_eq!(r.result.strategy, jobs[i].strategy.name());
         }
     }
 
     #[test]
     fn topologies_are_deduplicated() {
-        let req = small_request(2);
         assert_eq!(
-            run_batch(&req).distinct_topologies,
+            run(&small_jobs(), 2).distinct_topologies,
             2,
             "grid-5 and line-4 caches only"
         );
@@ -287,26 +244,19 @@ mod tests {
 
     #[test]
     fn batch_matches_direct_compilation() {
-        let req = small_request(4);
-        let out = run_batch(&req);
-        for (job, got) in req.jobs.iter().zip(&out.results) {
-            let want =
-                crate::strategies::compile(&job.circuit, &job.topology, job.strategy, &req.config);
+        let jobs = small_jobs();
+        let out = run(&jobs, 4);
+        let direct = Compiler::builder().caching(false).build();
+        for (job, got) in jobs.iter().zip(&out.results) {
+            let want = direct.compile(&job.circuit, &job.topology, job.strategy);
             assert_eq!(got.result.metrics, want.metrics, "{}", job.label);
             assert_eq!(got.result.schedule, want.schedule, "{}", job.label);
         }
     }
 
     #[test]
-    fn zero_workers_is_serial() {
-        let req = small_request(0);
-        let out = run_batch(&req);
-        assert_eq!(out.results.len(), req.jobs.len());
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
-        let out = run_batch(&BatchRequest::new(Vec::new(), 4));
+        let out = run(&[], 4);
         assert!(out.results.is_empty());
         assert_eq!(out.distinct_topologies, 0);
         assert_eq!(out.total_logical_gates(), 0);
@@ -316,12 +266,12 @@ mod tests {
     #[test]
     fn throughput_guards_degenerate_batches() {
         // Empty batch: no jobs, elapsed effectively zero.
-        let empty = run_batch(&BatchRequest::new(Vec::new(), 1));
+        let empty = run(&[], 1);
         assert_eq!(empty.throughput(), 0.0);
 
         // Zero-duration phase with results present (constructed directly:
         // a coarse clock can legitimately report 0 ns for a tiny batch).
-        let mut out = run_batch(&small_request(1));
+        let mut out = run(&small_jobs(), 1);
         out.elapsed = Duration::ZERO;
         assert_eq!(out.throughput(), 0.0);
 
@@ -334,10 +284,9 @@ mod tests {
 
     #[test]
     fn duplicate_jobs_hit_the_cache() {
-        let mut jobs = small_request(1).jobs;
-        let dupes = jobs.clone();
-        jobs.extend(dupes);
-        let out = run_batch(&BatchRequest::new(jobs, 1));
+        let mut jobs = small_jobs();
+        jobs.extend(small_jobs());
+        let out = run(&jobs, 1);
         assert_eq!(out.cache.misses, 6, "six distinct jobs");
         assert_eq!(out.cache.hits, 6, "six exact repeats");
     }

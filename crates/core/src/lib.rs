@@ -17,9 +17,10 @@
 //! job queue — submit jobs with [`Compiler::submit`] and poll/wait/cancel
 //! them through [`JobHandle`]s, or hand a whole list to
 //! [`Compiler::compile_batch`] (a thin submit-all-then-wait wrapper over
-//! the same pool). The free functions ([`compile`],
-//! [`compile_with_options`], [`run_batch`], …) remain as thin
-//! compatibility wrappers over one-shot sessions. The `qompress-service`
+//! the same pool). The stage-level functions it runs behind its caches
+//! ([`compile_cached`], [`compile_with_options_cached`],
+//! [`route_cached`], [`map_circuit`], …) stay public for callers that
+//! time or replay the pipeline stage by stage. The `qompress-service`
 //! crate exposes the job service over a line-delimited JSON wire
 //! protocol.
 //!
@@ -72,8 +73,7 @@ mod strategies;
 mod timeline;
 
 pub use batch::{
-    run_batch, BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchRequest, BatchResult,
-    TryBatchResult,
+    BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
 };
 pub use breaker::BreakerState;
 pub use config::CompilerConfig;
@@ -86,17 +86,14 @@ pub use mapping::{map_circuit, MappingOptions};
 pub use metrics::{coherence_eps, gate_eps_from_counts, Metrics};
 pub use parametric::{ParamSweep, SkeletonArtifact, SweepResult};
 pub use physical::{swap4_moves, PhysicalOp, Schedule, ScheduledOp};
-pub use pipeline::{
-    compile_with_options, compile_with_options_cached, CompilationResult, TopologyCache,
-};
+pub use pipeline::{compile_with_options_cached, CompilationResult, TopologyCache};
 pub use result_cache::{CacheStats, TieredCacheStats};
-pub use routing::{route, route_cached};
+pub use routing::route_cached;
 pub use scheduling::{merge_singles, schedule_ops, trace_coherence, CoherenceTrace};
 pub use service::ServiceMetrics;
 pub use session::{Compiler, CompilerBuilder};
 pub use strategies::{
-    compile, compile_cached, compile_exhaustive, compile_exhaustive_cached, EcObjective,
-    ExhaustiveOptions, ExhaustiveStep, Strategy, ALL_STRATEGIES,
+    compile_cached, EcObjective, ExhaustiveOptions, ExhaustiveStep, Strategy, ALL_STRATEGIES,
 };
 pub use timeline::{parallelism_stats, render_timeline, ParallelismStats};
 

@@ -530,25 +530,24 @@ pub fn decode_result(bytes: &[u8]) -> Option<CompilationResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompilerConfig;
     use crate::mapping::MappingOptions;
-    use crate::pipeline::compile_with_options;
+    use crate::session::Compiler;
     use qompress_arch::Topology;
     use qompress_circuit::{Circuit, Gate};
+    use std::sync::Arc;
 
-    fn sample_result() -> CompilationResult {
+    fn uncached() -> Compiler {
+        Compiler::builder().caching(false).build()
+    }
+
+    fn sample_result() -> Arc<CompilationResult> {
         let mut c = Circuit::new(4);
         c.push(Gate::h(0));
         c.push(Gate::rz(0.75, 1));
         for i in 0..3 {
             c.push(Gate::cx(i, i + 1));
         }
-        compile_with_options(
-            &c,
-            &Topology::grid(4),
-            &CompilerConfig::paper(),
-            &MappingOptions::eqm(),
-        )
+        uncached().compile_with_options(&c, &Topology::grid(4), &MappingOptions::eqm())
     }
 
     #[test]
@@ -610,10 +609,9 @@ mod tests {
 
     #[test]
     fn empty_result_round_trips() {
-        let empty = compile_with_options(
+        let empty = uncached().compile_with_options(
             &Circuit::new(2),
             &Topology::line(2),
-            &CompilerConfig::paper(),
             &MappingOptions::qubit_only(),
         );
         let decoded = decode_result(&encode_result(&empty)).expect("round trip");

@@ -158,7 +158,8 @@ impl TopologyCache {
 /// A fully compiled circuit with its evaluation statistics.
 #[derive(Debug, Clone)]
 pub struct CompilationResult {
-    /// Strategy label (filled by [`crate::strategies::compile`]).
+    /// Strategy label (filled by [`crate::compile_cached`]; empty for an
+    /// options-level compile).
     pub strategy: String,
     /// The scheduled physical circuit.
     pub schedule: Schedule,
@@ -211,30 +212,13 @@ impl fmt::Display for CompilationResult {
     }
 }
 
-/// Compiles `circuit` onto `topo` with explicit mapping options.
+/// Compiles `circuit` with explicit mapping options against a pre-built
+/// [`TopologyCache`], reusing the expanded graph and the memoized
+/// distance oracles instead of rebuilding them per job.
 ///
 /// This is the single pipeline all strategies share; only the pair
-/// selection differs between them. Compatibility wrapper over a one-shot
-/// [`crate::Compiler`] session (caching off); callers that compile more
-/// than once should hold a session and use
-/// [`crate::Compiler::compile_with_options`].
-pub fn compile_with_options(
-    circuit: &Circuit,
-    topo: &Topology,
-    config: &CompilerConfig,
-    options: &MappingOptions,
-) -> CompilationResult {
-    let session = crate::session::Compiler::builder()
-        .config(config.clone())
-        .caching(false)
-        .build();
-    let result = session.compile_with_options(circuit, topo, options);
-    Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone())
-}
-
-/// [`compile_with_options`] against a pre-built [`TopologyCache`], reusing
-/// the expanded graph and (for unencoded layouts) the bare distance oracle
-/// instead of rebuilding them per job.
+/// selection differs between them. Sessions run it behind their result
+/// cache ([`crate::Compiler::compile_with_options`]).
 pub fn compile_with_options_cached(
     circuit: &Circuit,
     cache: &TopologyCache,
@@ -286,6 +270,21 @@ mod tests {
     use super::*;
     use qompress_circuit::Gate;
 
+    /// One pipeline run on a fresh topology cache.
+    fn run(
+        c: &Circuit,
+        topo: &Topology,
+        config: &CompilerConfig,
+        options: &MappingOptions,
+    ) -> CompilationResult {
+        compile_with_options_cached(
+            c,
+            &TopologyCache::new(topo.clone(), config),
+            config,
+            options,
+        )
+    }
+
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         c.push(Gate::h(0));
@@ -300,7 +299,7 @@ mod tests {
         let c = ghz(6);
         let topo = Topology::grid(6);
         let config = CompilerConfig::paper();
-        let r = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let r = run(&c, &topo, &config, &MappingOptions::qubit_only());
         assert!(r.schedule.validate(&topo).is_empty());
         assert!(r.metrics.gate_eps > 0.0 && r.metrics.gate_eps < 1.0);
         assert!(r.metrics.coherence_eps > 0.0 && r.metrics.coherence_eps < 1.0);
@@ -315,7 +314,7 @@ mod tests {
         let topo = Topology::grid(6);
         let config = CompilerConfig::paper();
         let opts = MappingOptions::with_pairs(vec![(0, 1), (2, 3)]);
-        let r = compile_with_options(&c, &topo, &config, &opts);
+        let r = run(&c, &topo, &config, &opts);
         assert!(r.schedule.validate(&topo).is_empty());
         assert_eq!(r.pairs.len(), 2);
         assert!(r.metrics.ququart_state_ns > 0.0);
@@ -334,8 +333,8 @@ mod tests {
         c.push(Gate::cx(2, 3));
         let topo = Topology::grid(4);
         let config = CompilerConfig::paper();
-        let baseline = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
-        let paired = compile_with_options(
+        let baseline = run(&c, &topo, &config, &MappingOptions::qubit_only());
+        let paired = run(
             &c,
             &topo,
             &config,
@@ -350,7 +349,7 @@ mod tests {
         let c = ghz(5);
         let topo = Topology::grid(5);
         let config = CompilerConfig::paper();
-        let r = compile_with_options(&c, &topo, &config, &MappingOptions::eqm());
+        let r = run(&c, &topo, &config, &MappingOptions::eqm());
         let d = r.metrics.duration_ns;
         for q in 0..5 {
             let total = r.trace.qubit_ns[q] + r.trace.ququart_ns[q];
@@ -363,7 +362,7 @@ mod tests {
         let c = ghz(4);
         let topo = Topology::grid(4);
         let config = CompilerConfig::paper();
-        let mut r = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let mut r = run(&c, &topo, &config, &MappingOptions::qubit_only());
         r.strategy = "test".into();
         let s = format!("{r}");
         assert!(s.contains("gate EPS"));

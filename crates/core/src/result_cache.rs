@@ -44,6 +44,17 @@ impl CacheStats {
         }
     }
 
+    /// The activity since `before`, an earlier snapshot of the same
+    /// counters. Saturating: a `clear_cache` between the two snapshots
+    /// resets the counters, which would otherwise underflow the delta.
+    pub fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+            evictions: self.evictions.saturating_sub(before.evictions),
+        }
+    }
+
     /// The stats as a JSON object string —
     /// `{"hits": …, "misses": …, "evictions": …, "hit_rate": …}` — the
     /// one snapshot shape shared by the examples' report files and the
@@ -457,8 +468,8 @@ impl<T: Clone> ResultCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompilerConfig;
-    use crate::pipeline::{compile_with_options, CompilationResult};
+    use crate::pipeline::CompilationResult;
+    use crate::session::Compiler;
     use qompress_arch::Topology;
     use std::sync::Arc;
 
@@ -474,12 +485,10 @@ mod tests {
     fn dummy_result() -> Arc<CompilationResult> {
         let mut c = Circuit::new(2);
         c.push(Gate::cx(0, 1));
-        Arc::new(compile_with_options(
-            &c,
-            &Topology::line(2),
-            &CompilerConfig::paper(),
-            &MappingOptions::qubit_only(),
-        ))
+        Compiler::builder()
+            .caching(false)
+            .build()
+            .compile_with_options(&c, &Topology::line(2), &MappingOptions::qubit_only())
     }
 
     #[test]

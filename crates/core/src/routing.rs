@@ -45,30 +45,19 @@ use std::sync::Arc;
 /// Sentinel for "no gate" in the intrusive pending-gate list.
 const NO_GATE: usize = usize::MAX;
 
-/// Routes `circuit` starting from `layout`, emitting physical operations
-/// and mutating the layout to its final configuration.
-///
-/// # Panics
-///
-/// Panics if any qubit is unplaced in `layout`.
-pub fn route(
-    circuit: &Circuit,
-    dag: &CircuitDag,
-    layout: &mut Layout,
-    expanded: &ExpandedGraph,
-    config: &CompilerConfig,
-) -> Vec<PhysicalOp> {
-    let oracle = Arc::new(DistanceOracle::new(expanded, layout, config));
-    Router::new(circuit, dag, layout, expanded, oracle, config).run()
-}
-
-/// [`route`] against a shared [`TopologyCache`].
+/// Routes `circuit` starting from `layout` against a shared
+/// [`TopologyCache`], emitting physical operations and mutating the
+/// layout to its final configuration.
 ///
 /// Reuses the cache's expanded graph and its per-encoding-signature
 /// distance oracles ([`TopologyCache::oracle_for`]): qubit-only layouts
 /// share the bare oracle, and encoded layouts share one oracle per
 /// encoded-unit set — so the Dijkstra rows computed by one job serve every
 /// later job on the same topology with the same encodings.
+///
+/// # Panics
+///
+/// Panics if any qubit is unplaced in `layout`.
 pub fn route_cached(
     circuit: &Circuit,
     dag: &CircuitDag,
@@ -649,9 +638,9 @@ mod tests {
     ) -> (Vec<PhysicalOp>, Layout) {
         let config = CompilerConfig::paper();
         let dag = CircuitDag::build(circuit);
-        let expanded = ExpandedGraph::new(topo.clone());
+        let cache = TopologyCache::new(topo.clone(), &config);
         let mut layout = map_circuit(circuit, topo, &config, options);
-        let ops = route(circuit, &dag, &mut layout, &expanded, &config);
+        let ops = route_cached(circuit, &dag, &mut layout, &cache, &config);
         (ops, layout)
     }
 

@@ -314,8 +314,7 @@ fn worker_loop(session: Arc<SessionState>, inner: Arc<ServiceInner>) {
         // (`memoized` compiles outside the cache lock), so no lock is
         // poisoned by an unwinding compilation.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let resolved = rec.tcache.as_ref().map(|(fp, tc)| (*fp, tc.as_ref()));
-            session.compile_queued_job(&rec.job, resolved)
+            session.compile_queued_job(&rec.job, rec.tcache.clone())
         }));
         match outcome {
             Ok(result) => {

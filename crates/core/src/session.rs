@@ -49,7 +49,7 @@
 use crate::batch::{
     BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
 };
-use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::config::CompilerConfig;
 use crate::jobs::{CompletionQueue, JobHandle, JobOutcome};
 use crate::mapping::MappingOptions;
@@ -364,59 +364,134 @@ pub(crate) struct SessionState {
     diagnostics: Vec<String>,
 }
 
-impl SessionState {
-    /// Compiles `circuit` onto `topo` with `strategy`, serving repeats
-    /// from the result cache.
-    pub(crate) fn compile(
-        &self,
-        circuit: &Circuit,
-        topo: &Topology,
-        strategy: Strategy,
-    ) -> Arc<CompilationResult> {
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.topology_cache_by_fp(topo_fp, topo);
-        let key = CacheKey::for_strategy(circuit, strategy, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(self.compile_strategy_job(circuit, &tcache, strategy))
-        })
+/// The tier behind a memory LRU in the session's lookup chain. Only
+/// concrete results have one (the [`DiskTier`]); skeleton artifacts stay
+/// memory-resident.
+trait BackingTier<T> {
+    /// Serves `key`, or `None` on a miss of any kind.
+    fn load(&self, key: &CacheKey) -> Option<T>;
+    /// Writes a freshly compiled value back.
+    fn store(&self, key: &CacheKey, value: &T);
+}
+
+impl BackingTier<Arc<CompilationResult>> for DiskTier {
+    /// Gated by the circuit breaker: while it is open the disk is not
+    /// touched and the lookup is a plain miss. A payload that passes the
+    /// store's envelope check but fails the codec is still a reject
+    /// (version-skewed or damaged payload), removed so it stops costing a
+    /// read. Only real I/O errors feed the breaker; misses and rejects
+    /// are healthy-disk outcomes.
+    fn load(&self, key: &CacheKey) -> Option<Arc<CompilationResult>> {
+        if !self.breaker.try_acquire() {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let hex = key.hex();
+        let rejected = match self.store.load(&hex) {
+            LoadOutcome::Payload(payload) => {
+                let decoded = persist::decode_result(&payload);
+                self.breaker.record_success();
+                if let Some(result) = decoded {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(Arc::new(result));
+                }
+                let _ = self.store.remove(&hex);
+                true
+            }
+            LoadOutcome::Rejected => {
+                self.breaker.record_success();
+                true
+            }
+            LoadOutcome::Absent => {
+                self.breaker.record_success();
+                false
+            }
+            LoadOutcome::Failed(_) => {
+                self.breaker.record_failure();
+                self.read_errors.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+        };
+        if rejected {
+            self.rejects.fetch_add(1, Ordering::Relaxed);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    /// One whole service/batch job, memoized in the result cache. When
-    /// the submitter pre-resolved the job's topology fingerprint and
-    /// [`TopologyCache`] (the batch wrapper does), both are used directly
-    /// — no per-job re-hash of the topology, and immunity to registry
-    /// eviction, so a batch spanning more distinct topologies than the
-    /// registry bound never rebuilds precomputation mid-flight; otherwise
-    /// the cache is looked up (or built) through the registry.
+    /// Asks the breaker again: one that tripped since the lookup skips
+    /// the write too.
+    fn store(&self, key: &CacheKey, result: &Arc<CompilationResult>) {
+        if !self.breaker.try_acquire() {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        match self
+            .store
+            .store(&key.hex(), &persist::encode_result(result))
+        {
+            // `Ok(false)`: oversized for the cap, so simply not persisted
+            // — a policy outcome on a healthy disk, not a failure.
+            Ok(written) => {
+                self.breaker.record_success();
+                if written {
+                    self.writes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(_) => {
+                self.breaker.record_failure();
+                self.write_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// The counters of an optional memory tier (all zeros when caching is
+/// disabled).
+fn memory_stats<T: Clone>(cache: &Option<Mutex<ResultCache<T>>>) -> CacheStats {
+    cache.as_ref().map_or_else(CacheStats::default, |c| {
+        c.lock().expect("result cache poisoned").stats()
+    })
+}
+
+impl SessionState {
+    /// One whole service/batch job. When the submitter pre-resolved the
+    /// job's topology fingerprint and [`TopologyCache`] (the batch wrapper
+    /// does), both are used directly — no per-job re-hash of the
+    /// topology, and immunity to registry eviction, so a batch spanning
+    /// more distinct topologies than the registry bound never rebuilds
+    /// precomputation mid-flight; otherwise both come from the registry.
     pub(crate) fn compile_queued_job(
         &self,
         job: &BatchJob,
-        resolved: Option<(u64, &TopologyCache)>,
+        resolved: Option<(u64, Arc<TopologyCache>)>,
     ) -> Arc<CompilationResult> {
-        if let Some(binding) = &job.binding {
-            // A sweep job: resolve the skeleton artifact (sweep-shared
-            // `OnceLock` first, then the session's skeleton cache) and
-            // stamp this job's angles into it — no pipeline run.
-            let held;
-            let (topo_fp, tcache): (u64, &TopologyCache) = match resolved {
-                Some((fp, t)) => (fp, t),
-                None => {
-                    let fp = job.topology.structural_fingerprint();
-                    held = self.topology_cache_by_fp(fp, &job.topology);
-                    (fp, &held)
-                }
-            };
-            let artifact = binding.artifact.get_or_init(|| {
-                self.skeleton_artifact(&binding.skeleton, tcache, topo_fp, job.strategy)
-            });
-            return Arc::new(artifact.stamp(&binding.angles));
-        }
-        let Some((topo_fp, tcache)) = resolved else {
-            return self.compile(&job.circuit, &job.topology, job.strategy);
+        let (topo_fp, tcache) = resolved.unwrap_or_else(|| self.resolve(&job.topology));
+        let Some(binding) = &job.binding else {
+            return self.compile_on(&job.circuit, topo_fp, &tcache, job.strategy);
         };
-        let key = CacheKey::for_strategy(&job.circuit, job.strategy, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(self.compile_strategy_job(&job.circuit, tcache, job.strategy))
+        // A sweep job: resolve the skeleton artifact (sweep-shared
+        // `OnceLock` first, then the session's skeleton cache) and stamp
+        // this job's angles into it — no pipeline run.
+        let artifact = binding.artifact.get_or_init(|| {
+            self.skeleton_artifact(&binding.skeleton, &tcache, topo_fp, job.strategy)
+        });
+        Arc::new(artifact.stamp(&binding.angles))
+    }
+
+    /// A strategy-level compile against an already resolved topology,
+    /// memoized under its strategy key.
+    pub(crate) fn compile_on(
+        &self,
+        circuit: &Circuit,
+        topo_fp: u64,
+        tcache: &TopologyCache,
+        strategy: Strategy,
+    ) -> Arc<CompilationResult> {
+        let key = CacheKey::for_strategy(circuit, strategy, topo_fp, self.config_fp);
+        self.memoized(&self.cache, self.disk(), key, || {
+            Arc::new(self.compile_strategy_job(circuit, tcache, strategy))
         })
     }
 
@@ -424,7 +499,7 @@ impl SessionState {
     /// The exhaustive strategies are dispatched through the session state
     /// itself (their candidate evaluations must land in this session's
     /// result cache); everything else goes through the stateless pipeline.
-    pub(crate) fn compile_strategy_job(
+    fn compile_strategy_job(
         &self,
         circuit: &Circuit,
         tcache: &TopologyCache,
@@ -455,23 +530,19 @@ impl SessionState {
         topo: &Topology,
         options: &MappingOptions,
     ) -> Arc<CompilationResult> {
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.topology_cache_by_fp(topo_fp, topo);
+        let (topo_fp, tcache) = self.resolve(topo);
         let key = CacheKey::for_options(circuit, options, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(compile_with_options_cached(
-                circuit,
-                &tcache,
-                &self.config,
-                options,
-            ))
-        })
+        let fresh = || compile_with_options_cached(circuit, &tcache, &self.config, options);
+        self.memoized(&self.cache, self.disk(), key, || Arc::new(fresh()))
     }
 
-    pub(crate) fn topology_cache_by_fp(&self, topo_fp: u64, topo: &Topology) -> Arc<TopologyCache> {
+    /// `topo`'s structural fingerprint and its registered
+    /// [`TopologyCache`], built on first use.
+    pub(crate) fn resolve(&self, topo: &Topology) -> (u64, Arc<TopologyCache>) {
+        let topo_fp = topo.structural_fingerprint();
         let mut registry = self.topologies.lock().expect("topology registry poisoned");
         if let Some(cache) = registry.map.get(&topo_fp) {
-            return Arc::clone(cache);
+            return (topo_fp, Arc::clone(cache));
         }
         if registry.map.len() >= MAX_REGISTERED_TOPOLOGIES {
             if let Some(oldest) = registry.order.pop_front() {
@@ -481,36 +552,7 @@ impl SessionState {
         let cache = Arc::new(TopologyCache::new(topo.clone(), &self.config));
         registry.map.insert(topo_fp, Arc::clone(&cache));
         registry.order.push_back(topo_fp);
-        cache
-    }
-
-    fn adopt_topology_cache(&self, cache: Arc<TopologyCache>) {
-        let topo_fp = cache.topology().structural_fingerprint();
-        let mut registry = self.topologies.lock().expect("topology registry poisoned");
-        if registry.map.contains_key(&topo_fp) {
-            return;
-        }
-        if registry.map.len() >= MAX_REGISTERED_TOPOLOGIES {
-            if let Some(oldest) = registry.order.pop_front() {
-                registry.map.remove(&oldest);
-            }
-        }
-        registry.map.insert(topo_fp, cache);
-        registry.order.push_back(topo_fp);
-    }
-
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map(|c| c.lock().expect("result cache poisoned").stats())
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn skeleton_cache_stats(&self) -> CacheStats {
-        self.skeletons
-            .as_ref()
-            .map(|c| c.lock().expect("skeleton cache poisoned").stats())
-            .unwrap_or_default()
+        (topo_fp, cache)
     }
 
     /// The compiled artifact for `skeleton` under `strategy`, serving
@@ -525,221 +567,100 @@ impl SessionState {
         strategy: Strategy,
     ) -> Arc<SkeletonArtifact> {
         let key = CacheKey::for_skeleton(skeleton, strategy, topo_fp, self.config_fp);
-        memoized_in(self.skeletons.as_ref(), self.verify_hits, key, || {
+        self.memoized(&self.skeletons, None, key, || {
             Arc::new(SkeletonArtifact::build(skeleton, |probe| {
                 self.compile_strategy_job(probe, tcache, strategy)
             }))
         })
     }
 
-    /// Serves `key` through the cache tiers — memory, then disk, then
-    /// compiling via `fresh` — writing a fresh result back to both tiers
-    /// and promoting a disk hit into memory. No lock is held across disk
-    /// I/O or compilation, so parallel workers never serialize on either;
-    /// two workers racing on one key both compile and the (identical)
-    /// write-backs overwrite harmlessly. With `verify_hits`, disk hits
-    /// are audited against a fresh recompile exactly like memory hits.
-    fn memoized(
+    /// The concrete results' backing tier: the disk store, when attached.
+    fn disk(&self) -> Option<&dyn BackingTier<Arc<CompilationResult>>> {
+        self.persist.as_ref().map(|tier| tier as _)
+    }
+
+    /// The one lookup chain every memoized artifact goes through: the
+    /// `memory` LRU, then the `disk` tier behind it, then `fresh`. A disk
+    /// hit is promoted into memory; a fresh result is written to both
+    /// tiers (neither insertion counts as a lookup in [`CacheStats`]).
+    /// With `verify_hits`, a hit from either tier is recompiled through
+    /// `fresh` and must be `Debug`-identical before it is served.
+    ///
+    /// No lock is held across disk I/O or compilation, so parallel
+    /// workers never serialize on either and `fresh` may re-enter the
+    /// chain on the same thread (the exhaustive search compiles its
+    /// candidates through the session). Two workers racing on one key
+    /// both compile, and the identical write-backs overwrite harmlessly.
+    fn memoized<T: Clone + std::fmt::Debug>(
         &self,
+        memory: &Option<Mutex<ResultCache<T>>>,
+        disk: Option<&dyn BackingTier<T>>,
         key: CacheKey,
-        fresh: impl FnOnce() -> Arc<CompilationResult>,
-    ) -> Arc<CompilationResult> {
-        let Some(tier) = &self.persist else {
-            return memoized_in(self.cache.as_ref(), self.verify_hits, key, fresh);
+        fresh: impl FnOnce() -> T,
+    ) -> T {
+        let remember = |value: &T| {
+            if let Some(cache) = memory {
+                let mut cache = cache.lock().expect("result cache poisoned");
+                cache.insert(key, value.clone());
+            }
         };
-        // Tier 1: memory. (See `memoized_in` for why the lookup drops the
-        // guard before any recompilation.)
-        if let Some(cache) = self.cache.as_ref() {
-            let looked_up = cache.lock().expect("result cache poisoned").get(&key);
-            if let Some(hit) = looked_up {
-                if self.verify_hits {
-                    verify_hit(&hit, fresh, "memory");
-                }
-                return hit;
+        // The guard drops inside the closure, before any recompilation.
+        let in_memory = memory
+            .as_ref()
+            .and_then(|cache| cache.lock().expect("result cache poisoned").get(&key));
+        let (hit, from_disk) = match in_memory {
+            Some(hit) => (Some(hit), false),
+            None => (disk.and_then(|tier| tier.load(&key)), true),
+        };
+        let Some(hit) = hit else {
+            let result = fresh();
+            remember(&result);
+            if let Some(tier) = disk {
+                tier.store(&key, &result);
             }
-        }
-        // Tier 2: disk, gated by the circuit breaker — while the tier is
-        // open every disk touch is skipped and the lookup is a plain
-        // miss. A payload that passes the store's envelope check but
-        // fails the codec is still a reject (version-skewed or damaged
-        // payload) — removed so it stops costing a read. Only real I/O
-        // errors feed the breaker; misses and rejects are healthy-disk
-        // outcomes.
-        let hex = key.hex();
-        if tier.breaker.try_acquire() {
-            match tier.store.load(&hex) {
-                LoadOutcome::Payload(payload) => match persist::decode_result(&payload) {
-                    Some(result) => {
-                        tier.breaker.record_success();
-                        tier.hits.fetch_add(1, Ordering::Relaxed);
-                        let result = Arc::new(result);
-                        if self.verify_hits {
-                            verify_hit(&result, fresh, "disk");
-                            // `fresh` is consumed by the audit; the verified
-                            // hit is promoted and served like the normal path.
-                            self.promote(key, &result);
-                            return result;
-                        }
-                        self.promote(key, &result);
-                        return result;
-                    }
-                    None => {
-                        tier.breaker.record_success();
-                        tier.rejects.fetch_add(1, Ordering::Relaxed);
-                        tier.misses.fetch_add(1, Ordering::Relaxed);
-                        let _ = tier.store.remove(&hex);
-                    }
-                },
-                LoadOutcome::Rejected => {
-                    tier.breaker.record_success();
-                    tier.rejects.fetch_add(1, Ordering::Relaxed);
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                LoadOutcome::Absent => {
-                    tier.breaker.record_success();
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                LoadOutcome::Failed(_) => {
-                    tier.breaker.record_failure();
-                    tier.read_errors.fetch_add(1, Ordering::Relaxed);
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            tier.skipped.fetch_add(1, Ordering::Relaxed);
-            tier.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        // Both tiers missed: compile, then write back to both (the disk
-        // write-back again asks the breaker first — tripped mid-lookup
-        // means the write is skipped too).
-        let result = fresh();
-        self.promote(key, &result);
-        if tier.breaker.try_acquire() {
-            match tier.store.store(&hex, &persist::encode_result(&result)) {
-                Ok(true) => {
-                    tier.breaker.record_success();
-                    tier.writes.fetch_add(1, Ordering::Relaxed);
-                }
-                // Oversized for the cap: simply not persisted — a policy
-                // outcome on a healthy disk, not a failure.
-                Ok(false) => {
-                    tier.breaker.record_success();
-                }
-                Err(_) => {
-                    tier.breaker.record_failure();
-                    tier.write_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            tier.skipped.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Inserts a result into the in-memory tier (a no-op with caching
-    /// off). Promotions and write-backs share this path; neither counts
-    /// as a lookup in [`CacheStats`].
-    fn promote(&self, key: CacheKey, result: &Arc<CompilationResult>) {
-        if let Some(cache) = self.cache.as_ref() {
-            cache
-                .lock()
-                .expect("result cache poisoned")
-                .insert(key, Arc::clone(result));
-        }
-    }
-
-    pub(crate) fn tiered_cache_stats(&self) -> TieredCacheStats {
-        let memory = self.cache_stats();
-        match &self.persist {
-            Some(tier) => TieredCacheStats {
-                memory_hits: memory.hits,
-                disk_hits: tier.hits.load(Ordering::Relaxed),
-                misses: tier.misses.load(Ordering::Relaxed),
-                memory_evictions: memory.evictions,
-                disk_writes: tier.writes.load(Ordering::Relaxed),
-                disk_rejects: tier.rejects.load(Ordering::Relaxed),
-                disk_write_errors: tier.write_errors.load(Ordering::Relaxed),
-                disk_read_errors: tier.read_errors.load(Ordering::Relaxed),
-                disk_skipped: tier.skipped.load(Ordering::Relaxed),
-                breaker_trips: tier.breaker.trips(),
-                breaker_probes: tier.breaker.probes(),
-                breaker_state: tier.breaker.state(),
-            },
-            // Without a persistent tier the flat stats are the whole
-            // story: misses are the memory tier's misses.
-            None => TieredCacheStats {
-                memory_hits: memory.hits,
-                disk_hits: 0,
-                misses: memory.misses,
-                memory_evictions: memory.evictions,
-                disk_writes: 0,
-                disk_rejects: 0,
-                disk_write_errors: 0,
-                disk_read_errors: 0,
-                disk_skipped: 0,
-                breaker_trips: 0,
-                breaker_probes: 0,
-                breaker_state: BreakerState::Closed,
-            },
-        }
-    }
-}
-
-/// The `verify_hits` audit: recompiles through `fresh` and asserts the
-/// served hit `Debug`-identical to the rebuild.
-fn verify_hit(
-    hit: &Arc<CompilationResult>,
-    fresh: impl FnOnce() -> Arc<CompilationResult>,
-    tier: &str,
-) {
-    let rebuilt = fresh();
-    assert_eq!(
-        format!("{hit:?}"),
-        format!("{rebuilt:?}"),
-        "{tier}-tier cache hit diverged from a fresh compile — \
-         content fingerprint collision, codec defect or nondeterministic pipeline"
-    );
-}
-
-/// Serves `key` from `cache` or builds via `fresh`, inserting the result.
-/// The cache lock is *not* held while building, so parallel batch workers
-/// never serialize on the pipeline; two workers racing on the same key
-/// both build and the (identical) results overwrite harmlessly. With
-/// `verify_hits`, every hit is rebuilt and `Debug`-compared before being
-/// served.
-fn memoized_in<T: Clone + std::fmt::Debug>(
-    cache: Option<&Mutex<ResultCache<T>>>,
-    verify_hits: bool,
-    key: CacheKey,
-    fresh: impl FnOnce() -> T,
-) -> T {
-    let Some(cache) = cache else {
-        return fresh();
-    };
-    // Bind the lookup to a statement of its own so the MutexGuard drops
-    // *before* any recompilation: `fresh` may re-enter this cache on the
-    // same thread (the exhaustive search compiles its candidates through
-    // the session), and an `if let` scrutinee would keep the lock alive
-    // across the whole branch.
-    let looked_up = cache.lock().expect("result cache poisoned").get(&key);
-    if let Some(hit) = looked_up {
-        if verify_hits {
+            return result;
+        };
+        if self.verify_hits {
             let rebuilt = fresh();
             assert_eq!(
                 format!("{hit:?}"),
                 format!("{rebuilt:?}"),
-                "result-cache hit diverged from a fresh compile — \
-                 content fingerprint collision or nondeterministic pipeline"
+                "{}-tier cache hit diverged from a fresh compile — content fingerprint \
+                 collision, codec defect or nondeterministic pipeline",
+                if from_disk { "disk" } else { "memory" }
             );
         }
-        return hit;
+        if from_disk {
+            remember(&hit);
+        }
+        hit
     }
-    let result = fresh();
-    cache
-        .lock()
-        .expect("result cache poisoned")
-        .insert(key, result.clone());
-    result
+
+    pub(crate) fn tiered_cache_stats(&self) -> TieredCacheStats {
+        let memory = memory_stats(&self.cache);
+        // Without a persistent tier the memory tier tells the whole
+        // story: its misses are the compiles.
+        let mut stats = TieredCacheStats {
+            memory_hits: memory.hits,
+            misses: memory.misses,
+            memory_evictions: memory.evictions,
+            ..Default::default()
+        };
+        if let Some(tier) = &self.persist {
+            let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+            stats.disk_hits = count(&tier.hits);
+            stats.misses = count(&tier.misses);
+            stats.disk_writes = count(&tier.writes);
+            stats.disk_rejects = count(&tier.rejects);
+            stats.disk_write_errors = count(&tier.write_errors);
+            stats.disk_read_errors = count(&tier.read_errors);
+            stats.disk_skipped = count(&tier.skipped);
+            stats.breaker_trips = tier.breaker.trips();
+            stats.breaker_probes = tier.breaker.probes();
+            stats.breaker_state = tier.breaker.state();
+        }
+        stats
+    }
 }
 
 /// A compilation session owning shared state across compilations: the
@@ -778,12 +699,6 @@ impl Compiler {
         Compiler::builder().config(config.clone()).build()
     }
 
-    /// The shared state, for crate-internal callers (the exhaustive
-    /// search threads candidate evaluations through it).
-    pub(crate) fn state(&self) -> &Arc<SessionState> {
-        &self.state
-    }
-
     /// The session's configuration.
     pub fn config(&self) -> &CompilerConfig {
         &self.state.config
@@ -802,7 +717,8 @@ impl Compiler {
         topo: &Topology,
         strategy: Strategy,
     ) -> Arc<CompilationResult> {
-        self.state.compile(circuit, topo, strategy)
+        let (topo_fp, tcache) = self.state.resolve(topo);
+        self.state.compile_on(circuit, topo_fp, &tcache, strategy)
     }
 
     /// Runs the exhaustive-compression search (§5.1) through this session:
@@ -845,8 +761,7 @@ impl Compiler {
         topo: &Topology,
         strategy: Strategy,
     ) -> Arc<SkeletonArtifact> {
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.state.topology_cache_by_fp(topo_fp, topo);
+        let (topo_fp, tcache) = self.state.resolve(topo);
         self.state
             .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
     }
@@ -869,48 +784,36 @@ impl Compiler {
         strategy: Strategy,
         bindings: &[Vec<f64>],
     ) -> SweepResult {
-        let stats_before = self.state.skeleton_cache_stats();
+        let stats_before = self.skeleton_cache_stats();
         let started = Instant::now();
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.state.topology_cache_by_fp(topo_fp, topo);
+        let (topo_fp, tcache) = self.state.resolve(topo);
+        let artifact = || {
+            self.state
+                .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
+        };
         // With the skeleton cache off there is nothing to pin stats
         // against, so hoist one artifact for the whole sweep instead of
         // recompiling the structure per binding.
-        let mut hoisted: Option<Arc<SkeletonArtifact>> = None;
-        let results: Vec<Arc<CompilationResult>> = bindings
+        let mut hoisted = None;
+        let results = bindings
             .iter()
-            .map(|angles| {
-                let artifact = if self.state.skeletons.is_some() {
-                    self.state
-                        .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
-                } else {
-                    Arc::clone(hoisted.get_or_insert_with(|| {
-                        self.state
-                            .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
-                    }))
-                };
-                Arc::new(artifact.stamp(angles))
+            .map(|angles| match self.state.skeletons {
+                Some(_) => artifact().stamp(angles),
+                None => hoisted.get_or_insert_with(artifact).stamp(angles),
             })
+            .map(Arc::new)
             .collect();
-        let elapsed = started.elapsed();
-        let after = self.state.skeleton_cache_stats();
         SweepResult {
             results,
-            // Saturating for the same reason as `compile_batch`: a
-            // concurrent counter reset must not underflow the delta.
-            skeleton_cache: CacheStats {
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                evictions: after.evictions.saturating_sub(stats_before.evictions),
-            },
-            elapsed,
+            elapsed: started.elapsed(),
+            skeleton_cache: self.skeleton_cache_stats().since(&stats_before),
         }
     }
 
     /// Cumulative skeleton-cache counters (all zeros when caching is
     /// disabled).
     pub fn skeleton_cache_stats(&self) -> CacheStats {
-        self.state.skeleton_cache_stats()
+        memory_stats(&self.state.skeletons)
     }
 
     /// Enqueues one job on the session's persistent worker pool and
@@ -1017,7 +920,7 @@ impl Compiler {
     /// [`Compiler::compile_batch`] is a thin wrapper over this method
     /// that panics on the first failure with the historical message.
     pub fn try_compile_batch(&self, jobs: &[BatchJob]) -> TryBatchResult {
-        let stats_before = self.state.cache_stats();
+        let stats_before = self.cache_stats();
         // Resolve every job's topology cache up front (deduplicated by
         // structural fingerprint) so the expensive expanded-graph
         // construction happens once, outside the timed window, exactly as
@@ -1027,10 +930,7 @@ impl Compiler {
         // mid-flight.
         let per_job: Vec<(u64, Arc<TopologyCache>)> = jobs
             .iter()
-            .map(|job| {
-                let fp = job.topology.structural_fingerprint();
-                (fp, self.state.topology_cache_by_fp(fp, &job.topology))
-            })
+            .map(|job| self.state.resolve(&job.topology))
             .collect();
         let distinct_topologies = {
             let mut fps: Vec<u64> = per_job.iter().map(|(fp, _)| *fp).collect();
@@ -1073,21 +973,11 @@ impl Compiler {
                 }),
             })
             .collect();
-        let elapsed = started.elapsed();
-
-        let after = self.state.cache_stats();
         TryBatchResult {
             results,
             distinct_topologies,
-            elapsed,
-            // Saturating: a concurrent `clear_cache` between the two
-            // snapshots resets the counters, which would otherwise
-            // underflow the delta.
-            cache: CacheStats {
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                evictions: after.evictions.saturating_sub(stats_before.evictions),
-            },
+            elapsed: started.elapsed(),
+            cache: self.cache_stats().since(&stats_before),
         }
     }
 
@@ -1098,17 +988,7 @@ impl Compiler {
     /// structures; beyond that the oldest registration is dropped (in-use
     /// `Arc`s stay valid).
     pub fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
-        self.state
-            .topology_cache_by_fp(topo.structural_fingerprint(), topo)
-    }
-
-    /// Registers an externally built [`TopologyCache`] under its
-    /// topology's structural fingerprint, so the session's compilations
-    /// reuse its precomputation (expanded graph, memoized oracles)
-    /// instead of rebuilding it. An existing registration for the same
-    /// structure wins — precomputation is pure, so either copy is valid.
-    pub(crate) fn adopt_topology_cache(&self, cache: Arc<TopologyCache>) {
-        self.state.adopt_topology_cache(cache);
+        self.state.resolve(topo).1
     }
 
     /// Number of distinct topology structures registered so far.
@@ -1143,7 +1023,7 @@ impl Compiler {
 
     /// Cumulative cache counters (all zeros when caching is disabled).
     pub fn cache_stats(&self) -> CacheStats {
-        self.state.cache_stats()
+        memory_stats(&self.state.cache)
     }
 
     /// Cumulative counters split by cache tier (memory / disk /

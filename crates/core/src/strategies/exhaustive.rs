@@ -9,20 +9,20 @@
 //! involved in inserted communication, (3) everything else. The unordered
 //! variant pools all candidates.
 //!
-//! The search runs **through a [`Compiler`] session**: every candidate
-//! evaluation is an options-level session compile, so it reuses the
-//! session's per-topology precomputation ([`Compiler::topology_cache`])
+//! The search runs **through a [`Compiler`](crate::Compiler) session**
+//! ([`crate::Compiler::compile_exhaustive`]): every candidate evaluation is an
+//! options-level session compile, so it reuses the session's
+//! per-topology precomputation ([`crate::Compiler::topology_cache`])
 //! and is memoized in the session's content-addressed result cache under
 //! its `(circuit, pair-set)` key. Within one search that turns the
 //! post-commit recompile of each round's winner into a cache hit; across
 //! calls it lets repeated sweeps on one session (the Figure 4 bench loop)
 //! skip recompiling identical candidates entirely.
 
-use crate::config::CompilerConfig;
 use crate::layout::Layout;
 use crate::mapping::MappingOptions;
 use crate::pipeline::CompilationResult;
-use crate::session::{Compiler, SessionState};
+use crate::session::SessionState;
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, CircuitDag, Gate};
 use std::sync::Arc;
@@ -79,45 +79,11 @@ pub struct ExhaustiveStep {
     pub group: usize,
 }
 
-/// Runs the exhaustive search; returns the best compilation and the
-/// per-round trace.
-///
-/// Compatibility wrapper over a one-shot [`Compiler`] session with caching
-/// **on** — even a single search benefits, because each round's winning
-/// candidate is recompiled after the commit and that recompile is a cache
-/// hit. Callers sweeping more than once should hold a session and use
-/// [`Compiler::compile_exhaustive`].
-pub fn compile_exhaustive(
-    circuit: &Circuit,
-    topo: &Topology,
-    config: &CompilerConfig,
-    options: &ExhaustiveOptions,
-) -> (CompilationResult, Vec<ExhaustiveStep>) {
-    let session = Compiler::builder().config(config.clone()).build();
-    let (best, steps) = run_exhaustive(session.state(), circuit, topo, options);
-    (
-        Arc::try_unwrap(best).unwrap_or_else(|arc| (*arc).clone()),
-        steps,
-    )
-}
-
-/// [`compile_exhaustive`] against a caller-held [`Compiler`] session — the
-/// search recompiles the circuit once per candidate pair per round, and
-/// every one of those evaluations is served from (and feeds) the session's
-/// result cache and per-topology precomputation.
-pub fn compile_exhaustive_cached(
-    circuit: &Circuit,
-    session: &Compiler,
-    topo: &Topology,
-    options: &ExhaustiveOptions,
-) -> (Arc<CompilationResult>, Vec<ExhaustiveStep>) {
-    run_exhaustive(session.state(), circuit, topo, options)
-}
-
-/// The session-threaded search shared by every public EC entry point.
-/// Takes the shared [`SessionState`] (not the [`Compiler`] wrapper) so
-/// the job-service worker threads — which hold only the state `Arc` — can
-/// dispatch exhaustive-strategy jobs through the very same memoization.
+/// Runs the exhaustive search through `session`; returns the best
+/// compilation and the per-round trace. Takes the shared
+/// [`SessionState`] (not the [`crate::Compiler`] wrapper) so the job-service
+/// worker threads — which hold only the state `Arc` — dispatch
+/// exhaustive-strategy jobs through the very same memoization.
 pub(crate) fn run_exhaustive(
     session: &SessionState,
     circuit: &Circuit,
@@ -313,7 +279,7 @@ fn qubits_moved_by_communication(result: &CompilationResult) -> std::collections
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::compile_with_options;
+    use crate::session::Compiler;
 
     fn hot_pair_circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -329,12 +295,13 @@ mod tests {
     fn ec_improves_over_baseline() {
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
-        let baseline = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
-        let (best, steps) = compile_exhaustive(
+        let baseline = Compiler::builder()
+            .caching(false)
+            .build()
+            .compile_with_options(&c, &topo, &MappingOptions::qubit_only());
+        let (best, steps) = Compiler::new().compile_exhaustive(
             &c,
             &topo,
-            &config,
             &ExhaustiveOptions {
                 ordered: false,
                 max_rounds: 3,
@@ -354,12 +321,10 @@ mod tests {
     fn ordered_and_unordered_both_terminate() {
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
         for ordered in [true, false] {
-            let (_, steps) = compile_exhaustive(
+            let (_, steps) = Compiler::new().compile_exhaustive(
                 &c,
                 &topo,
-                &config,
                 &ExhaustiveOptions {
                     ordered,
                     max_rounds: 2,
@@ -374,8 +339,8 @@ mod tests {
     fn objective_is_monotone_across_steps() {
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
-        let (_, steps) = compile_exhaustive(&c, &topo, &config, &ExhaustiveOptions::default());
+        let (_, steps) =
+            Compiler::new().compile_exhaustive(&c, &topo, &ExhaustiveOptions::default());
         for w in steps.windows(2) {
             assert!(w[1].objective_value >= w[0].objective_value);
         }
@@ -387,12 +352,11 @@ mod tests {
         // conservative than the gate-EPS objective.
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
-        let (_, gate_steps) = compile_exhaustive(&c, &topo, &config, &ExhaustiveOptions::default());
-        let (_, total_steps) = compile_exhaustive(
+        let (_, gate_steps) =
+            Compiler::new().compile_exhaustive(&c, &topo, &ExhaustiveOptions::default());
+        let (_, total_steps) = Compiler::new().compile_exhaustive(
             &c,
             &topo,
-            &config,
             &ExhaustiveOptions {
                 objective: EcObjective::TotalEps,
                 ..ExhaustiveOptions::default()
@@ -405,11 +369,9 @@ mod tests {
     fn ordered_prefers_critical_path_group() {
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
-        let (_, steps) = compile_exhaustive(
+        let (_, steps) = Compiler::new().compile_exhaustive(
             &c,
             &topo,
-            &config,
             &ExhaustiveOptions {
                 ordered: true,
                 max_rounds: 1,
@@ -429,8 +391,7 @@ mod tests {
         let c = hot_pair_circuit();
         let topo = Topology::grid(4);
         let session = Compiler::builder().build();
-        let (first, steps) =
-            compile_exhaustive_cached(&c, &session, &topo, &ExhaustiveOptions::default());
+        let (first, steps) = session.compile_exhaustive(&c, &topo, &ExhaustiveOptions::default());
         let after_first = session.cache_stats();
         assert!(
             after_first.hits >= steps.len() as u64,
@@ -439,7 +400,7 @@ mod tests {
             steps.len()
         );
         let (replay, replay_steps) =
-            compile_exhaustive_cached(&c, &session, &topo, &ExhaustiveOptions::default());
+            session.compile_exhaustive(&c, &topo, &ExhaustiveOptions::default());
         let after_replay = session.cache_stats();
         assert_eq!(
             after_replay.misses, after_first.misses,
@@ -470,18 +431,5 @@ mod tests {
         let b = session.compile(&c, &topo, strategy); // verified outer hit
         assert_eq!(format!("{:?}", *a), format!("{:?}", *b));
         assert_eq!(format!("{first:?}"), format!("{:?}", *a));
-    }
-
-    #[test]
-    fn session_method_matches_free_function() {
-        let c = hot_pair_circuit();
-        let topo = Topology::grid(4);
-        let config = CompilerConfig::paper();
-        let opts = ExhaustiveOptions::default();
-        let (free, free_steps) = compile_exhaustive(&c, &topo, &config, &opts);
-        let session = Compiler::with_config(&config);
-        let (via_session, session_steps) = session.compile_exhaustive(&c, &topo, &opts);
-        assert_eq!(format!("{free:?}"), format!("{:?}", *via_session));
-        assert_eq!(free_steps, session_steps);
     }
 }

@@ -409,7 +409,7 @@ impl<'a> FqState<'a> {
 mod tests {
     use super::*;
     use crate::mapping::MappingOptions;
-    use crate::pipeline::compile_with_options;
+    use crate::session::Compiler;
 
     fn sample_circuit() -> Circuit {
         let mut c = Circuit::new(6);
@@ -454,9 +454,11 @@ mod tests {
         // The paper's consistent finding (Figure 7): FQ loses to qubit-only.
         let c = sample_circuit();
         let topo = Topology::grid(6);
-        let config = CompilerConfig::paper();
-        let fq = compile_full_ququart(&c, &topo, &config);
-        let qo = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let fq = compile_full_ququart(&c, &topo, &CompilerConfig::paper());
+        let qo = Compiler::builder()
+            .caching(false)
+            .build()
+            .compile_with_options(&c, &topo, &MappingOptions::qubit_only());
         assert!(fq.metrics.gate_eps < qo.metrics.gate_eps);
         assert!(fq.metrics.total_eps < qo.metrics.total_eps);
     }

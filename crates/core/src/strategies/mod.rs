@@ -7,14 +7,12 @@ mod progressive;
 mod ring_based;
 
 pub(crate) use exhaustive::run_exhaustive;
-pub use exhaustive::{
-    compile_exhaustive, compile_exhaustive_cached, EcObjective, ExhaustiveOptions, ExhaustiveStep,
-};
+pub use exhaustive::{EcObjective, ExhaustiveOptions, ExhaustiveStep};
 
 use crate::config::CompilerConfig;
 use crate::mapping::MappingOptions;
 use crate::pipeline::{compile_with_options_cached, CompilationResult, TopologyCache};
-use qompress_arch::Topology;
+use crate::session::Compiler;
 use qompress_circuit::Circuit;
 
 /// The compilation strategies evaluated in the paper.
@@ -74,42 +72,22 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Compiles `circuit` onto `topo` with the chosen strategy.
+/// Compiles `circuit` with the chosen strategy against a pre-built
+/// [`TopologyCache`], so jobs on one device share its precomputation
+/// (expanded graph, distance oracles) instead of rebuilding it for every
+/// compilation. This is the stage a [`Compiler`] session runs behind its
+/// result cache ([`Compiler::compile`]).
 ///
-/// Compatibility wrapper over a one-shot [`crate::Compiler`] session (with
-/// caching off — a single compile has nothing to reuse). Callers that
-/// compile more than once should hold a session and use
-/// [`crate::Compiler::compile`], which deduplicates per-topology
-/// precomputation and memoizes repeated jobs.
-///
-/// ```no_run
-/// use qompress::{compile, CompilerConfig, Strategy};
-/// use qompress_arch::Topology;
+/// ```
+/// use qompress::{compile_cached, CompilerConfig, Strategy, TopologyCache};
 /// use qompress_circuit::{Circuit, Gate};
 ///
-/// let mut c = Circuit::new(4);
-/// c.push(Gate::h(0));
+/// let mut c = Circuit::new(2);
 /// c.push(Gate::cx(0, 1));
-/// let r = compile(&c, &Topology::grid(4), Strategy::Eqm, &CompilerConfig::paper());
-/// println!("total EPS: {}", r.metrics.total_eps);
+/// let config = CompilerConfig::paper();
+/// let device = TopologyCache::new(qompress_arch::Topology::grid(4), &config);
+/// assert_eq!(compile_cached(&c, &device, Strategy::Eqm, &config).strategy, "eqm");
 /// ```
-pub fn compile(
-    circuit: &Circuit,
-    topo: &Topology,
-    strategy: Strategy,
-    config: &CompilerConfig,
-) -> CompilationResult {
-    let session = crate::session::Compiler::builder()
-        .config(config.clone())
-        .caching(false)
-        .build();
-    let result = session.compile(circuit, topo, strategy);
-    std::sync::Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone())
-}
-
-/// [`compile`] against a pre-built [`TopologyCache`], so batches share the
-/// per-topology precomputation (expanded graph, bare distance oracle)
-/// across jobs instead of rebuilding it for every compilation.
 pub fn compile_cached(
     circuit: &Circuit,
     cache: &TopologyCache,
@@ -138,19 +116,12 @@ pub fn compile_cached(
         }
         Strategy::Exhaustive { ordered } => {
             // EC is a *search*, not a single pipeline pass: it needs a
-            // session for its per-candidate memoization. Callers holding a
-            // session reach `run_exhaustive` through the session's own
-            // strategy dispatch instead of this arm; the one-shot session
-            // here serves direct `compile_cached` callers — it adopts the
-            // caller's `TopologyCache` (shared expanded graph + memoized
-            // oracles ride along via the `Arc`s inside the clone) so the
-            // function's precomputation-sharing contract still holds.
-            let session = crate::session::Compiler::builder()
-                .config(config.clone())
-                .build();
-            session.adopt_topology_cache(std::sync::Arc::new(cache.clone()));
-            let (result, _) = exhaustive::run_exhaustive(
-                session.state(),
+            // session for its per-candidate memoization. Session callers
+            // reach `run_exhaustive` through the session's own strategy
+            // dispatch instead of this arm; a direct caller gets a
+            // one-shot session.
+            let session = Compiler::with_config(config);
+            let (result, _) = session.compile_exhaustive(
                 circuit,
                 topo,
                 &ExhaustiveOptions {
@@ -169,7 +140,12 @@ pub fn compile_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qompress_arch::Topology;
     use qompress_circuit::Gate;
+
+    fn uncached() -> Compiler {
+        Compiler::builder().caching(false).build()
+    }
 
     fn small_circuit() -> Circuit {
         let mut c = Circuit::new(5);
@@ -184,9 +160,9 @@ mod tests {
     fn every_strategy_compiles_and_validates() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let config = CompilerConfig::paper();
+        let session = uncached();
         for strategy in ALL_STRATEGIES {
-            let r = compile(&c, &topo, strategy, &config);
+            let r = session.compile(&c, &topo, strategy);
             let problems = r.schedule.validate(&topo);
             assert!(problems.is_empty(), "{strategy}: {problems:?}");
             assert!(r.metrics.total_eps > 0.0, "{strategy}");
@@ -207,7 +183,7 @@ mod tests {
     fn qubit_only_never_encodes() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let r = compile(&c, &topo, Strategy::QubitOnly, &CompilerConfig::paper());
+        let r = uncached().compile(&c, &topo, Strategy::QubitOnly);
         assert!(r.pairs.is_empty());
         assert!(!r.encoded_units.iter().any(|&e| e));
         assert_eq!(r.metrics.ququart_state_ns, 0.0);
@@ -217,10 +193,10 @@ mod tests {
     fn compression_strategies_are_deterministic() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let config = CompilerConfig::paper();
+        let session = uncached();
         for strategy in [Strategy::Eqm, Strategy::RingBased, Strategy::Awe] {
-            let a = compile(&c, &topo, strategy, &config);
-            let b = compile(&c, &topo, strategy, &config);
+            let a = session.compile(&c, &topo, strategy);
+            let b = session.compile(&c, &topo, strategy);
             assert_eq!(a.metrics.total_eps, b.metrics.total_eps, "{strategy}");
             assert_eq!(a.schedule.len(), b.schedule.len(), "{strategy}");
         }

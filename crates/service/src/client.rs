@@ -113,9 +113,6 @@ pub struct StatsSnapshot {
     /// registered topologies (landmark-mode devices report their
     /// O(K·V) footprint here).
     pub oracle: OracleStats,
-    /// Server-computed hit rate (redundant with `cache.hit_rate()`, kept
-    /// for wire-visibility in logs).
-    pub hit_rate: f64,
 }
 
 /// How a [`ServiceClient`] retries submits that hit transient failures:
@@ -461,7 +458,6 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
                 landmark_rows: oracle_counter("landmark_rows")?,
                 approx_bytes: oracle_counter("approx_bytes")?,
             },
-            hit_rate: cache.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0),
         })
     }
 

@@ -710,25 +710,75 @@ pub fn serve_tcp_with_limits(
     session: Arc<Compiler>,
     limits: ServiceLimits,
 ) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let _ = stream.set_read_timeout(limits.idle_timeout);
-        let session = Arc::clone(&session);
-        let limits = limits.clone();
-        let reader = stream.try_clone()?;
-        std::thread::Builder::new()
-            .name("qompress-service-conn".to_string())
-            .spawn(move || {
-                let _ = serve_conn(session, reader, stream, false, limits, None);
-            })
-            .expect("spawn connection thread");
-    }
-    Ok(())
+    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, None)
 }
 
 /// How long a draining accept loop sleeps between polls of its
 /// (nonblocking) listener and the drain flag.
 const DRAIN_POLL: Duration = Duration::from_millis(25);
+
+/// An accepted socket stream, as the shared accept loop serves it.
+trait Socket: Read + Write + Send + Sized + 'static {
+    /// Readies the stream for its blocking connection thread and returns
+    /// a second handle to it, the reader.
+    fn reader(&self, idle_timeout: Option<Duration>) -> io::Result<Self>;
+}
+
+macro_rules! socket {
+    ($stream:ty) => {
+        impl Socket for $stream {
+            fn reader(&self, idle_timeout: Option<Duration>) -> io::Result<Self> {
+                // Streams may inherit nonblocking from a draining listener
+                // on some platforms. The idle timeout is best-effort: a
+                // socket that refuses it still serves.
+                self.set_nonblocking(false)?;
+                let _ = self.set_read_timeout(idle_timeout);
+                self.try_clone()
+            }
+        }
+    };
+}
+
+socket!(std::net::TcpStream);
+#[cfg(unix)]
+socket!(std::os::unix::net::UnixStream);
+
+/// The accept loop behind every socket listener: serves each connection
+/// `accept` yields on its own thread with `admin = false`. With a drain
+/// handle the listener must be nonblocking: the loop polls the flag every
+/// [`DRAIN_POLL`] and returns `Ok(())` once it trips. A connection whose
+/// setup fails is dropped; only an `accept` error ends the loop.
+fn accept_loop<S: Socket>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    session: Arc<Compiler>,
+    limits: ServiceLimits,
+    drain: Option<DrainHandle>,
+) -> io::Result<()> {
+    loop {
+        if drain.as_ref().is_some_and(DrainHandle::is_draining) {
+            return Ok(());
+        }
+        let stream = match accept() {
+            Ok(stream) => stream,
+            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(DRAIN_POLL);
+                continue;
+            }
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(err),
+        };
+        let Ok(reader) = stream.reader(limits.idle_timeout) else {
+            continue;
+        };
+        let (session, limits, drain) = (Arc::clone(&session), limits.clone(), drain.clone());
+        std::thread::Builder::new()
+            .name("qompress-service-conn".to_string())
+            .spawn(move || {
+                let _ = serve_conn(session, reader, stream, false, limits, drain);
+            })
+            .expect("spawn connection thread");
+    }
+}
 
 /// [`serve_tcp_with_limits`] watching a [`DrainHandle`]: the listener is
 /// switched to nonblocking so the accept loop can poll the flag, and the
@@ -749,35 +799,12 @@ pub fn serve_tcp_draining(
     drain: DrainHandle,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    loop {
-        if drain.is_draining() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                // The accepted stream inherits nonblocking from the
-                // listener on some platforms — undo that before handing
-                // it to the blocking per-connection reader.
-                stream.set_nonblocking(false)?;
-                let _ = stream.set_read_timeout(limits.idle_timeout);
-                let session = Arc::clone(&session);
-                let limits = limits.clone();
-                let drain = drain.clone();
-                let reader = stream.try_clone()?;
-                std::thread::Builder::new()
-                    .name("qompress-service-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_conn(session, reader, stream, false, limits, Some(drain));
-                    })
-                    .expect("spawn connection thread");
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(DRAIN_POLL);
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
-        }
-    }
+    accept_loop(
+        || listener.accept().map(|(s, _)| s),
+        session,
+        limits,
+        Some(drain),
+    )
 }
 
 /// [`serve_tcp`] over a Unix-domain socket listener.
@@ -808,20 +835,7 @@ pub fn serve_unix_with_limits(
     session: Arc<Compiler>,
     limits: ServiceLimits,
 ) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let _ = stream.set_read_timeout(limits.idle_timeout);
-        let session = Arc::clone(&session);
-        let limits = limits.clone();
-        let reader = stream.try_clone()?;
-        std::thread::Builder::new()
-            .name("qompress-service-conn".to_string())
-            .spawn(move || {
-                let _ = serve_conn(session, reader, stream, false, limits, None);
-            })
-            .expect("spawn connection thread");
-    }
-    Ok(())
+    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, None)
 }
 
 /// [`serve_tcp_draining`] over a Unix-domain socket listener: returns
@@ -840,30 +854,96 @@ pub fn serve_unix_draining(
     drain: DrainHandle,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    loop {
-        if drain.is_draining() {
-            return Ok(());
+    accept_loop(
+        || listener.accept().map(|(s, _)| s),
+        session,
+        limits,
+        Some(drain),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io::Cursor;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// An in-memory connection: reads a scripted request stream and sends
+    /// every write the server makes down a channel.
+    struct FakeStream {
+        input: Cursor<Vec<u8>>,
+        output: Sender<Vec<u8>>,
+        clone_fails: bool,
+    }
+
+    impl FakeStream {
+        fn stats_request(clone_fails: bool) -> (Self, Receiver<Vec<u8>>) {
+            let (output, written) = channel();
+            let input = Cursor::new(b"{\"op\":\"stats\"}\n".to_vec());
+            let stream = FakeStream {
+                input,
+                output,
+                clone_fails,
+            };
+            (stream, written)
         }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                stream.set_nonblocking(false)?;
-                let _ = stream.set_read_timeout(limits.idle_timeout);
-                let session = Arc::clone(&session);
-                let limits = limits.clone();
-                let drain = drain.clone();
-                let reader = stream.try_clone()?;
-                std::thread::Builder::new()
-                    .name("qompress-service-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_conn(session, reader, stream, false, limits, Some(drain));
-                    })
-                    .expect("spawn connection thread");
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(DRAIN_POLL);
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
+    }
+
+    impl Read for FakeStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
         }
+    }
+
+    impl Write for FakeStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.output.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Socket for FakeStream {
+        fn reader(&self, _idle_timeout: Option<Duration>) -> io::Result<Self> {
+            if self.clone_fails {
+                return Err(io::Error::other("clone failed"));
+            }
+            Ok(FakeStream {
+                input: self.input.clone(),
+                output: self.output.clone(),
+                clone_fails: false,
+            })
+        }
+    }
+
+    #[test]
+    fn a_failed_connection_setup_does_not_stop_the_listener() {
+        let (broken, broken_written) = FakeStream::stats_request(true);
+        let (served, served_written) = FakeStream::stats_request(false);
+        // The fake listener hands out both, then fails `accept`.
+        let mut script = VecDeque::from([broken, served]);
+        let accept = || {
+            script
+                .pop_front()
+                .ok_or_else(|| io::Error::other("no more connections"))
+        };
+        let session = Arc::new(Compiler::builder().workers(1).build());
+
+        let err = accept_loop(accept, session, ServiceLimits::default(), None)
+            .expect_err("accept fails once the script runs out");
+        assert_eq!(err.to_string(), "no more connections");
+
+        let reply = served_written
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the connection after the failed one is served");
+        assert!(String::from_utf8_lossy(&reply).contains("\"op\":\"stats\""));
+        assert!(
+            broken_written.recv().is_err(),
+            "the failed connection is dropped unserved"
+        );
     }
 }

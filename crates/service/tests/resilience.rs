@@ -2,10 +2,12 @@
 //! ridden out by a [`RetryPolicy`], transport loss is ridden out by a
 //! reconnect hook (safe to resubmit — results are content-addressed), a
 //! draining server rejects new submits structurally while still
-//! streaming in-flight completions, and the backoff schedule itself is
-//! deterministic.
+//! streaming in-flight completions (over the loopback, TCP and Unix
+//! transports), and the backoff schedule itself is deterministic.
 
 use qompress::{Compiler, Strategy};
+#[cfg(unix)]
+use qompress_service::serve_unix_draining;
 use qompress_service::{
     loopback, serve_duplex_draining, serve_duplex_with_limits, serve_tcp_draining, DrainHandle,
     RetryPolicy, ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
@@ -288,6 +290,52 @@ fn reconnect_hook_rides_over_transport_loss() {
         .join()
         .expect("server thread")
         .expect("accept loop exit");
+}
+
+#[cfg(unix)]
+#[test]
+fn draining_unix_listener_stops_accepting_but_streams_in_flight_work() {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("resilience-drain.sock");
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind");
+    let session = Arc::new(Compiler::builder().workers(1).build());
+    let drain = DrainHandle::new();
+    let server = {
+        let (session, drain) = (Arc::clone(&session), drain.clone());
+        std::thread::spawn(move || {
+            serve_unix_draining(listener, session, ServiceLimits::default(), drain)
+        })
+    };
+    let stream = UnixStream::connect(&path).expect("connect");
+    let reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut client = ServiceClient::new(reader, stream);
+
+    // Park one job in flight, then trip the drain: the accept loop
+    // notices the flag and returns.
+    session.pause_workers();
+    let inflight = client
+        .submit("inflight", Strategy::Eqm, "grid:2", SMALL_QASM)
+        .expect("accepted before the drain");
+    drain.trigger();
+    server
+        .join()
+        .expect("server thread")
+        .expect("accept loop exit");
+
+    // The open connection keeps talking: new work answers `draining`,
+    // and the admitted job's event still streams.
+    let err = client
+        .submit("late", Strategy::Eqm, "grid:2", SMALL_QASM)
+        .expect_err("draining server accepts no new jobs");
+    assert!(matches!(err, ServiceError::Draining { .. }), "{err}");
+    session.resume_workers();
+    assert!(matches!(
+        client.next_event().expect("in-flight completion"),
+        ServiceEvent::Done { job, .. } if job == inflight
+    ));
+    drop(client);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -252,7 +252,7 @@ fn shared_session_serves_wire_hits_from_cache() {
     assert_eq!(fp1, fp2, "repeat job must stream the identical result");
     let stats = client.stats().unwrap();
     assert_eq!(stats.cache.hits, 1, "the repeat was a cache hit");
-    assert!((stats.hit_rate - 0.5).abs() < 1e-12);
+    assert!((stats.cache.hit_rate() - 0.5).abs() < 1e-12);
     drop(client);
     server.join().unwrap().unwrap();
 }

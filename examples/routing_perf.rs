@@ -255,11 +255,9 @@ fn main() {
     let t = Instant::now();
     let (replay, _) = session.compile_exhaustive(&ec_circuit, &ec_topo, &ec_opts);
     let replay_ms = t.elapsed().as_secs_f64() * 1e3;
-    let after = session.cache_stats();
-    let replay_hits = after.hits.saturating_sub(before.hits);
-    let replay_misses = after.misses.saturating_sub(before.misses);
+    let replay_cache = session.cache_stats().since(&before);
     assert!(
-        replay_hits > 0,
+        replay_cache.hits > 0,
         "replaying an exhaustive sweep on one session must hit the result cache"
     );
     assert_eq!(
@@ -269,7 +267,8 @@ fn main() {
     );
     println!(
         "\nexhaustive round (cuccaro-8, grid): {first_ms:.1} ms fresh, \
-         {replay_ms:.1} ms replay ({replay_hits} hits / {replay_misses} misses)"
+         {replay_ms:.1} ms replay ({} hits / {} misses)",
+        replay_cache.hits, replay_cache.misses
     );
     let session_cache = session.cache_stats();
     println!("session cache: {session_cache}");
@@ -280,7 +279,7 @@ fn main() {
         &crosscheck_entries,
         first_ms,
         replay_ms,
-        replay_hits,
+        replay_cache.hits,
         repeats,
         &session_cache,
     );

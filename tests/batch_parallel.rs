@@ -1,8 +1,8 @@
-//! Batch-engine determinism: `run_batch` must return byte-identical
-//! results for the same job list at any worker count, and must agree with
-//! compiling each job directly through the serial `compile` entry point.
+//! Batch-engine determinism: `Compiler::compile_batch` must return
+//! byte-identical results for the same job list at any worker count, and
+//! must agree with compiling each job directly on a caching-off session.
 
-use qompress::{run_batch, BatchJob, BatchRequest, BatchResult, Strategy, ALL_STRATEGIES};
+use qompress::{BatchJob, BatchResult, Compiler, Strategy, ALL_STRATEGIES};
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
 use qompress_workloads::{build, random_circuit, Benchmark};
@@ -42,6 +42,14 @@ fn sweep_jobs() -> Vec<BatchJob> {
     jobs
 }
 
+/// Compiles `jobs` as one batch on a fresh `workers`-thread session.
+fn batch_on(workers: usize, jobs: &[BatchJob]) -> BatchResult {
+    Compiler::builder()
+        .workers(workers)
+        .build()
+        .compile_batch(jobs)
+}
+
 /// Renders every observable field of a batch result into one string, so
 /// "byte-identical" is a literal comparison.
 fn render(result: &BatchResult) -> String {
@@ -67,9 +75,9 @@ fn render(result: &BatchResult) -> String {
 fn one_worker_and_many_workers_are_byte_identical() {
     let jobs = sweep_jobs();
     assert!(jobs.len() >= 8, "sweep must be at least 8 jobs");
-    let serial = run_batch(&BatchRequest::new(jobs.clone(), 1));
+    let serial = batch_on(1, &jobs);
     for workers in [2usize, 4, 8] {
-        let parallel = run_batch(&BatchRequest::new(jobs.clone(), workers));
+        let parallel = batch_on(workers, &jobs);
         assert_eq!(
             render(&serial),
             render(&parallel),
@@ -81,11 +89,11 @@ fn one_worker_and_many_workers_are_byte_identical() {
 #[test]
 fn batch_agrees_with_serial_compile() {
     let jobs = sweep_jobs();
-    let out = run_batch(&BatchRequest::new(jobs.clone(), 4));
+    let out = batch_on(4, &jobs);
     assert_eq!(out.results.len(), jobs.len());
-    let cfg = qompress::CompilerConfig::paper();
+    let direct = Compiler::builder().caching(false).build();
     for (job, got) in jobs.iter().zip(&out.results) {
-        let want = qompress::compile(&job.circuit, &job.topology, job.strategy, &cfg);
+        let want = direct.compile(&job.circuit, &job.topology, job.strategy);
         assert_eq!(got.result.metrics, want.metrics, "{}", job.label);
         assert_eq!(
             format!("{:?}", got.result.schedule),
@@ -98,7 +106,7 @@ fn batch_agrees_with_serial_compile() {
 
 #[test]
 fn caches_are_shared_across_jobs_on_one_topology() {
-    let out = run_batch(&BatchRequest::new(sweep_jobs(), 4));
+    let out = batch_on(4, &sweep_jobs());
     // grid-8 and line-8 only.
     assert_eq!(out.distinct_topologies, 2);
 }
@@ -111,7 +119,7 @@ fn every_strategy_runs_in_a_batch() {
         .into_iter()
         .map(|s| BatchJob::new(s.name(), c.clone(), s, topo.clone()))
         .collect();
-    let out = run_batch(&BatchRequest::new(jobs, 4));
+    let out = batch_on(4, &jobs);
     for r in &out.results {
         assert!(r.result.metrics.total_eps > 0.0, "{}", r.label);
         assert!(
@@ -131,6 +139,6 @@ fn empty_circuits_compile_in_batches() {
         Strategy::QubitOnly,
         Topology::grid(3),
     )];
-    let out = run_batch(&BatchRequest::new(jobs, 2));
+    let out = batch_on(2, &jobs);
     assert_eq!(out.results[0].result.logical_gates, 0);
 }

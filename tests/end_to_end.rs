@@ -2,14 +2,16 @@
 //! strategy on every topology class with a structurally valid schedule and
 //! sane metrics.
 
-use qompress::{compile, CompilerConfig, Strategy};
+use qompress::{Compiler, Strategy};
 use qompress_arch::Topology;
 use qompress_workloads::{build, Benchmark, ALL_BENCHMARKS};
 
 fn check(bench: Benchmark, size: usize, topo: &Topology, strategy: Strategy) {
     let circuit = build(bench, size, 7);
-    let config = CompilerConfig::paper();
-    let result = compile(&circuit, topo, strategy, &config);
+    let result = Compiler::builder()
+        .caching(false)
+        .build()
+        .compile(&circuit, topo, strategy);
     let problems = result.schedule.validate(topo);
     assert!(
         problems.is_empty(),
@@ -106,8 +108,10 @@ fn double_capacity_via_compression() {
     // units when every qubit is compressed.
     let circuit = build(Benchmark::Cuccaro, 16, 3);
     let topo = Topology::grid(8);
-    let config = CompilerConfig::paper();
-    let result = compile(&circuit, &topo, Strategy::Eqm, &config);
+    let result = Compiler::builder()
+        .caching(false)
+        .build()
+        .compile(&circuit, &topo, Strategy::Eqm);
     assert!(result.schedule.validate(&topo).is_empty());
     assert_eq!(result.initial_placements.len(), 16);
     assert!(result.active_units() <= 8);
@@ -118,9 +122,9 @@ fn compiled_gate_mix_uses_ququart_classes_under_compression() {
     use qompress_pulse::GateClass;
     let circuit = build(Benchmark::Cnu, 15, 3);
     let topo = Topology::grid(15);
-    let config = CompilerConfig::paper();
-    let eqm = compile(&circuit, &topo, Strategy::Eqm, &config);
-    let qo = compile(&circuit, &topo, Strategy::QubitOnly, &config);
+    let session = Compiler::builder().caching(false).build();
+    let eqm = session.compile(&circuit, &topo, Strategy::Eqm);
+    let qo = session.compile(&circuit, &topo, Strategy::QubitOnly);
     // Qubit-only emits no ququart classes at all.
     for (&class, &n) in &qo.metrics.gate_counts {
         if n > 0 {

@@ -2,7 +2,7 @@
 //! logical circuit's state for every strategy, verified with the
 //! mixed-radix state-vector simulator.
 
-use qompress::{compile, CompilerConfig, PhysicalOp, Strategy};
+use qompress::{Compiler, PhysicalOp, Strategy};
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, Gate};
 use qompress_sim::{
@@ -22,8 +22,10 @@ fn apply_physical(state: &mut State, op: &PhysicalOp) {
 /// Compiles `circuit` with `strategy` and checks physical/logical state
 /// equivalence starting from `|0…0⟩`.
 fn assert_equivalent(circuit: &Circuit, topo: &Topology, strategy: Strategy) {
-    let config = CompilerConfig::paper();
-    let result = compile(circuit, topo, strategy, &config);
+    let result = Compiler::builder()
+        .caching(false)
+        .build()
+        .compile(circuit, topo, strategy);
     assert!(
         result.schedule.validate(topo).is_empty(),
         "{strategy}: invalid schedule"
@@ -222,15 +224,15 @@ fn random_circuits_differential_on_line_and_ring() {
 fn qasm_round_trip_compiles_identically() {
     // Frontend integration: a circuit that has passed through QASM text
     // must compile to the same schedule and metrics as the original.
-    let config = CompilerConfig::paper();
+    let session = Compiler::builder().caching(false).build();
     for seed in 0..3u64 {
         let c = qompress_qasm::random_circuit(5, 20, seed);
         let reparsed = qompress_qasm::parse_qasm(&qompress_qasm::to_qasm(&c)).unwrap();
         assert_eq!(c, reparsed);
         let topo = Topology::grid(5);
         for strategy in [Strategy::QubitOnly, Strategy::Eqm, Strategy::Awe] {
-            let a = compile(&c, &topo, strategy, &config);
-            let b = compile(&reparsed, &topo, strategy, &config);
+            let a = session.compile(&c, &topo, strategy);
+            let b = session.compile(&reparsed, &topo, strategy);
             assert_eq!(a.metrics, b.metrics, "{strategy}");
             assert_eq!(
                 format!("{:?}", a.schedule),

@@ -1,19 +1,17 @@
 //! Metric-model integration tests: T1 sweeps, crossover behaviour and the
 //! error-sensitivity mechanics behind Figures 9-12.
 
-use qompress::{coherence_eps, compile, CompilerConfig, Strategy};
+use qompress::{coherence_eps, CompilationResult, Compiler, CompilerConfig, Strategy};
 use qompress_arch::Topology;
 use qompress_workloads::{build, Benchmark};
+use std::sync::Arc;
 
-fn paper_pair(
-    bench: Benchmark,
-    size: usize,
-) -> (qompress::CompilationResult, qompress::CompilationResult) {
+fn paper_pair(bench: Benchmark, size: usize) -> (Arc<CompilationResult>, Arc<CompilationResult>) {
     let circuit = build(bench, size, 5);
     let topo = Topology::grid(size);
-    let config = CompilerConfig::paper();
-    let qo = compile(&circuit, &topo, Strategy::QubitOnly, &config);
-    let eqm = compile(&circuit, &topo, Strategy::Eqm, &config);
+    let session = Compiler::builder().caching(false).build();
+    let qo = session.compile(&circuit, &topo, Strategy::QubitOnly);
+    let eqm = session.compile(&circuit, &topo, Strategy::Eqm);
     (qo, eqm)
 }
 
@@ -85,10 +83,16 @@ fn qubit_error_improvement_shrinks_compression_advantage() {
     let base_cfg = CompilerConfig::paper();
     let better_cfg = base_cfg.with_library(base_cfg.library.with_qubit_error_improved(10.0));
 
-    let qo_base = compile(&circuit, &topo, Strategy::QubitOnly, &base_cfg);
-    let eqm_base = compile(&circuit, &topo, Strategy::Eqm, &base_cfg);
-    let qo_better = compile(&circuit, &topo, Strategy::QubitOnly, &better_cfg);
-    let eqm_better = compile(&circuit, &topo, Strategy::Eqm, &better_cfg);
+    let base = Compiler::builder().config(base_cfg).caching(false).build();
+    let better = Compiler::builder()
+        .config(better_cfg)
+        .caching(false)
+        .build();
+
+    let qo_base = base.compile(&circuit, &topo, Strategy::QubitOnly);
+    let eqm_base = base.compile(&circuit, &topo, Strategy::Eqm);
+    let qo_better = better.compile(&circuit, &topo, Strategy::QubitOnly);
+    let eqm_better = better.compile(&circuit, &topo, Strategy::Eqm);
 
     let adv_base = eqm_base.metrics.gate_eps / qo_base.metrics.gate_eps;
     let adv_better = eqm_better.metrics.gate_eps / qo_better.metrics.gate_eps;

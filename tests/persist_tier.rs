@@ -211,6 +211,27 @@ fn verify_hits_audits_the_disk_tier() {
 }
 
 #[test]
+#[should_panic(expected = "diverged")]
+fn verify_hits_catches_a_divergent_disk_hit() {
+    let (dir_a, dir_b) = (fresh_dir("tier_diverge_a"), fresh_dir("tier_diverge_b"));
+    let topo = Topology::grid(4);
+    let (job_a, job_b) = (random_circuit(4, 12, 5), random_circuit(4, 12, 6));
+    for (dir, circuit) in [(&dir_a, &job_a), (&dir_b, &job_b)] {
+        let session = Compiler::builder().workers(1).persist_dir(dir).build();
+        let _ = session.compile(circuit, &topo, Strategy::Eqm);
+    }
+    // The store's envelope carries no key, so A's entry copied over B's
+    // loads as a disk hit for B — one the audit must refuse to serve.
+    std::fs::copy(only_entry(&dir_a), only_entry(&dir_b)).expect("swap entries");
+    let audited = Compiler::builder()
+        .workers(1)
+        .verify_hits(true)
+        .persist_dir(&dir_b)
+        .build();
+    let _ = audited.compile(&job_b, &topo, Strategy::Eqm);
+}
+
+#[test]
 fn clear_cache_leaves_the_disk_tier_intact() {
     let dir = fresh_dir("tier_clear_cache");
     let circuit = random_circuit(4, 10, 29);

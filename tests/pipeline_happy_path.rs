@@ -4,7 +4,7 @@
 //! finite gate/depth metrics, and — for the compressing strategies — no
 //! more two-qubit communication than the qubit-only baseline.
 
-use qompress::{compile, CompilationResult, Compiler, CompilerConfig, Strategy};
+use qompress::{CompilationResult, Compiler, Strategy};
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
 use qompress_workloads::cuccaro_sized;
@@ -168,10 +168,10 @@ fn compilation_is_deterministic_across_runs() {
     // would be vacuous.
     let circuit = small_adder();
     let topo = Topology::grid(circuit.n_qubits());
-    let config = CompilerConfig::paper();
+    let uncached = Compiler::builder().caching(false).build();
     for strategy in COMPRESSING {
-        let a = compile(&circuit, &topo, strategy, &config);
-        let b = compile(&circuit, &topo, strategy, &config);
+        let a = uncached.compile(&circuit, &topo, strategy);
+        let b = uncached.compile(&circuit, &topo, strategy);
         assert_eq!(a.metrics.total_eps, b.metrics.total_eps, "{strategy}");
         assert_eq!(a.schedule.len(), b.schedule.len(), "{strategy}");
         assert_eq!(a.pairs, b.pairs, "{strategy}");

@@ -3,7 +3,7 @@
 //! logical input, under every strategy and several topologies.
 
 use proptest::prelude::*;
-use qompress::{compile, CompilerConfig, PhysicalOp, Strategy as CompileStrategy};
+use qompress::{Compiler, PhysicalOp, Strategy as CompileStrategy};
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, Gate, SingleQubitKind};
 use qompress_sim::{
@@ -47,8 +47,10 @@ fn check_equivalence(
     topo: &Topology,
     strategy: CompileStrategy,
 ) -> Result<(), String> {
-    let config = CompilerConfig::paper();
-    let result = compile(circuit, topo, strategy, &config);
+    let result = Compiler::builder()
+        .caching(false)
+        .build()
+        .compile(circuit, topo, strategy);
     let problems = result.schedule.validate(topo);
     if !problems.is_empty() {
         return Err(format!("{strategy}: invalid schedule {problems:?}"));
@@ -105,10 +107,10 @@ proptest! {
 
     #[test]
     fn metrics_invariants_hold(c in arb_circuit(5, 20)) {
-        let config = CompilerConfig::paper();
+        let session = Compiler::builder().caching(false).build();
         let topo = Topology::grid(5);
         for strategy in [CompileStrategy::QubitOnly, CompileStrategy::Eqm] {
-            let r = compile(&c, &topo, strategy, &config);
+            let r = session.compile(&c, &topo, strategy);
             let m = &r.metrics;
             prop_assert!(m.gate_eps > 0.0 && m.gate_eps <= 1.0);
             prop_assert!(m.coherence_eps > 0.0 && m.coherence_eps <= 1.0);

@@ -13,8 +13,8 @@
 //! candidate — shows up here as a diverging `Vec<PhysicalOp>`.
 
 use qompress::{
-    compile, gate_cost, map_circuit, route, swap_class, CompilerConfig, Layout, MappingOptions,
-    PhysicalOp,
+    gate_cost, map_circuit, route_cached, swap_class, Compiler, CompilerConfig, Layout,
+    MappingOptions, PhysicalOp, TopologyCache,
 };
 use qompress_arch::{ExpandedGraph, Slot, SlotIndex, Topology};
 use qompress_circuit::{graph::WGraph, Circuit, CircuitDag, Gate};
@@ -408,7 +408,8 @@ impl<'a> ReferenceRouter<'a> {
 
 /// Maps `circuit` under `options`, routes it with both routers from
 /// identical layouts, and asserts byte-identical op streams and final
-/// layouts.
+/// layouts. The optimized side runs on a fresh [`TopologyCache`], the
+/// path the pipeline itself takes.
 fn assert_routers_agree(circuit: &Circuit, topo: &Topology, options: &MappingOptions, label: &str) {
     let config = CompilerConfig::paper();
     let dag = CircuitDag::build(circuit);
@@ -416,7 +417,8 @@ fn assert_routers_agree(circuit: &Circuit, topo: &Topology, options: &MappingOpt
     let base = map_circuit(circuit, topo, &config, options);
 
     let mut opt_layout = base.clone();
-    let optimized = route(circuit, &dag, &mut opt_layout, &expanded, &config);
+    let cache = TopologyCache::new(topo.clone(), &config);
+    let optimized = route_cached(circuit, &dag, &mut opt_layout, &cache, &config);
 
     let mut ref_layout = base.clone();
     let reference = ReferenceRouter::new(circuit, &dag, &mut ref_layout, &expanded, &config).run();
@@ -476,7 +478,7 @@ proptest! {
 /// on all of them.
 #[test]
 fn routers_agree_on_every_strategy_pair_set() {
-    let config = CompilerConfig::paper();
+    let session = Compiler::builder().caching(false).build();
     let circuit = {
         let mut c = Circuit::new(6);
         c.push(Gate::h(0));
@@ -495,7 +497,7 @@ fn routers_agree_on_every_strategy_pair_set() {
         Topology::heavy_hex(3),
     ] {
         for strategy in qompress::ALL_STRATEGIES {
-            let pairs = compile(&circuit, &topo, strategy, &config).pairs;
+            let pairs = session.compile(&circuit, &topo, strategy).pairs.clone();
             assert_routers_agree(
                 &circuit,
                 &topo,

@@ -4,7 +4,7 @@
 //! `CacheStats` must count exactly.
 
 use proptest::prelude::*;
-use qompress::{BatchJob, CacheStats, CompilationResult, Compiler, CompilerConfig, Strategy};
+use qompress::{BatchJob, CacheStats, CompilationResult, Compiler, Strategy};
 use qompress_arch::Topology;
 use qompress_workloads::random_circuit;
 
@@ -167,8 +167,8 @@ fn repeated_batch_sweep_hits_and_stays_byte_identical() {
 
 #[test]
 fn session_outlives_batches_and_keeps_hitting() {
-    // The session advantage over `run_batch`: caches persist across
-    // batches, so resubmitting a sweep is pure hits.
+    // The session advantage over a one-shot session per batch: caches
+    // persist across batches, so resubmitting a sweep is pure hits.
     let circuit = random_circuit(5, 16, 3);
     let jobs: Vec<BatchJob> = [Strategy::QubitOnly, Strategy::Eqm]
         .into_iter()
@@ -232,19 +232,4 @@ fn exhaustive_strategy_memoizes_candidates_in_the_session_cache() {
     let uncached = Compiler::builder().caching(false).build();
     let fresh = uncached.compile(&circuit, &topo, strategy);
     assert_eq!(render(&first), render(&fresh));
-}
-
-#[test]
-fn free_functions_agree_with_session_methods() {
-    // The demoted compatibility wrappers must return exactly what the
-    // session returns.
-    let config = CompilerConfig::paper();
-    let circuit = random_circuit(5, 15, 9);
-    let topo = Topology::grid(5);
-    let session = Compiler::with_config(&config);
-    for strategy in qompress::ALL_STRATEGIES {
-        let via_free = qompress::compile(&circuit, &topo, strategy, &config);
-        let via_session = session.compile(&circuit, &topo, strategy);
-        assert_eq!(render(&via_free), render(&via_session), "{strategy}");
-    }
 }

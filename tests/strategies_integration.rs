@@ -2,7 +2,7 @@
 //! (§7): FQ loses to qubit-only, compression wins on structured circuits,
 //! RB finds nothing on BV, and EQM produces internal interactions.
 
-use qompress::{Compiler, CompilerConfig, Strategy};
+use qompress::{Compiler, Strategy};
 use qompress_arch::Topology;
 use qompress_pulse::GateClass;
 use qompress_workloads::{build, Benchmark};
@@ -125,11 +125,9 @@ fn exhaustive_matches_or_beats_singleton_strategies_on_small_input() {
     // EC is the (greedy) upper bound the others approximate (§5.1).
     let circuit = build(Benchmark::Cuccaro, 8, 11);
     let topo = Topology::grid(8);
-    let config = CompilerConfig::paper();
-    let (ec, _) = qompress::compile_exhaustive(
+    let (ec, _) = Compiler::new().compile_exhaustive(
         &circuit,
         &topo,
-        &config,
         &qompress::ExhaustiveOptions {
             ordered: false,
             max_rounds: 4,
