@@ -23,4 +23,4 @@ mod topology;
 
 pub use expanded::{ExpandedGraph, Slot, SlotIndex};
 pub use fingerprint::Fingerprinter;
-pub use topology::Topology;
+pub use topology::{Topology, TopologyError};

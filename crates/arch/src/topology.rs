@@ -4,16 +4,18 @@
 
 use crate::fingerprint::Fingerprinter;
 use core::fmt;
-use std::collections::HashSet;
 
 /// A physical coupling graph: nodes are transmons (each usable as a qubit or
 /// a ququart), edges are allowed two-unit interactions.
 ///
-/// Alongside the normalized edge list the topology keeps a per-node
-/// adjacency set, so [`Topology::has_edge`] — the routing hot path — is an
-/// `O(1)` set probe instead of a linear edge scan. Equality ignores the
-/// derived sets: two topologies are equal iff name, node count and edge
-/// list agree (the adjacency is a function of the edges).
+/// Alongside the normalized edge list the topology keeps a compressed
+/// (CSR) adjacency: every node's neighbours, sorted, back to back in one
+/// array. [`Topology::has_edge`] binary-searches a node's run and
+/// [`Topology::neighbors`] copies it. The main router reads coupling
+/// through [`crate::ExpandedGraph`]'s unit bitmap instead; the
+/// full-ququart baseline's BFS router uses these two queries. Equality
+/// ignores the derived adjacency: two topologies are equal iff name, node
+/// count and edge list agree (the adjacency is a function of the edges).
 ///
 /// ```
 /// use qompress_arch::Topology;
@@ -28,12 +30,15 @@ pub struct Topology {
     name: String,
     n_nodes: usize,
     edges: Vec<(usize, usize)>,
-    /// Derived adjacency sets, one per node. Skipped by serialization (it
-    /// is redundant with `edges`); [`Topology::has_edge`] falls back to the
-    /// edge list whenever the sets are absent, so a deserialized topology
-    /// stays correct and merely loses the `O(1)` probe until rebuilt.
+    /// Derived CSR adjacency: node `v`'s sorted neighbours are
+    /// `neighbors[offsets[v]..offsets[v + 1]]`. Skipped by serialization
+    /// (it is redundant with `edges`); [`Topology::has_edge`] and
+    /// [`Topology::neighbors`] fall back to the edge list whenever it is
+    /// absent, so a deserialized topology stays correct and merely scans.
     #[cfg_attr(feature = "serde", serde(skip))]
-    adjacency: Vec<HashSet<usize>>,
+    offsets: Vec<usize>,
+    #[cfg_attr(feature = "serde", serde(skip))]
+    neighbors: Vec<usize>,
 }
 
 impl PartialEq for Topology {
@@ -44,36 +49,168 @@ impl PartialEq for Topology {
 
 impl Eq for Topology {}
 
+/// Why an edge list cannot form a [`Topology`]: the first bad edge, by
+/// its index in the input list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopologyError {
+    /// `edges[index]` couples `node` to itself.
+    SelfLoop {
+        /// Position of the edge in the input list.
+        index: usize,
+        /// The node on both ends.
+        node: usize,
+    },
+    /// `edges[index] = (a, b)` names a node outside `0..n_nodes`.
+    OutOfRange {
+        /// Position of the edge in the input list.
+        index: usize,
+        /// The edge's first endpoint.
+        a: usize,
+        /// The edge's second endpoint.
+        b: usize,
+        /// The topology's node count.
+        n_nodes: usize,
+    },
+}
+
+impl fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TopologyError::SelfLoop { index, node } => {
+                write!(f, "edges[{index}] is a self-loop on node {node}")
+            }
+            TopologyError::OutOfRange {
+                index,
+                a,
+                b,
+                n_nodes,
+            } => write!(
+                f,
+                "edges[{index}] = [{a},{b}] is out of range for {n_nodes} node(s)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
 impl Topology {
     /// Creates a topology from an explicit edge list.
     ///
     /// Duplicate edges (in either orientation) are dropped, keeping the
-    /// first occurrence's position; the scan is `O(E)` via a hash set, so
-    /// dense inputs (complete graphs, generated couplings) stay cheap.
+    /// first occurrence's position. Dedup groups the edges by lower
+    /// endpoint and sorts each group, so the build is `O(V + E log E)` with
+    /// no hashing and dense inputs (complete graphs, generated couplings)
+    /// stay cheap.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range endpoints or self loops.
+    /// Panics on out-of-range endpoints or self loops; see
+    /// [`Topology::try_from_edges`] for the non-panicking form.
     pub fn from_edges(name: impl Into<String>, n_nodes: usize, edges: Vec<(usize, usize)>) -> Self {
-        let mut seen = HashSet::with_capacity(edges.len());
-        let mut normalized = Vec::with_capacity(edges.len());
-        let mut adjacency: Vec<HashSet<usize>> = vec![HashSet::new(); n_nodes];
-        for (a, b) in edges {
-            assert!(a < n_nodes && b < n_nodes, "edge endpoint out of range");
-            assert_ne!(a, b, "self loop in topology");
-            let e = (a.min(b), a.max(b));
-            if seen.insert(e) {
-                normalized.push(e);
-                adjacency[a].insert(b);
-                adjacency[b].insert(a);
+        match Topology::try_from_edges(name, n_nodes, edges) {
+            Ok(topology) => topology,
+            Err(err @ TopologyError::SelfLoop { .. }) => panic!("self loop in topology: {err}"),
+            Err(err @ TopologyError::OutOfRange { .. }) => {
+                panic!("edge endpoint out of range: {err}")
             }
         }
-        Topology {
+    }
+
+    /// [`Topology::from_edges`] for untrusted edge lists: the first edge
+    /// that is a self loop or names a node outside `0..n_nodes` comes back
+    /// as a [`TopologyError`] carrying its index. Each edge is checked for
+    /// a self loop before its range.
+    ///
+    /// ```
+    /// use qompress_arch::{Topology, TopologyError};
+    /// let err = Topology::try_from_edges("t", 3, vec![(0, 1), (2, 2)]).unwrap_err();
+    /// assert_eq!(err, TopologyError::SelfLoop { index: 1, node: 2 });
+    /// assert_eq!(err.to_string(), "edges[1] is a self-loop on node 2");
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::SelfLoop`] or [`TopologyError::OutOfRange`] for
+    /// the first bad edge.
+    pub fn try_from_edges(
+        name: impl Into<String>,
+        n_nodes: usize,
+        edges: Vec<(usize, usize)>,
+    ) -> Result<Self, TopologyError> {
+        // Validate, counting each edge under its lower endpoint.
+        let mut starts = vec![0usize; n_nodes + 1];
+        for (index, &(a, b)) in edges.iter().enumerate() {
+            if a == b {
+                return Err(TopologyError::SelfLoop { index, node: a });
+            }
+            if a >= n_nodes || b >= n_nodes {
+                return Err(TopologyError::OutOfRange {
+                    index,
+                    a,
+                    b,
+                    n_nodes,
+                });
+            }
+            starts[a.min(b) + 1] += 1;
+        }
+        prefix_sum(&mut starts);
+
+        // Bucket `(higher endpoint, input index)` by lower endpoint, then
+        // sort each bucket: the head of each run of equal edges is the
+        // edge's first occurrence. Dedup is a sort, with no hashing.
+        let mut fill = starts.clone();
+        let mut buckets = vec![(0usize, 0usize); edges.len()];
+        for (index, &(a, b)) in edges.iter().enumerate() {
+            let low = a.min(b);
+            buckets[fill[low]] = (a.max(b), index);
+            fill[low] += 1;
+        }
+        let mut first = vec![false; edges.len()];
+        let mut offsets = vec![0usize; n_nodes + 1];
+        for low in 0..n_nodes {
+            let bucket = &mut buckets[starts[low]..starts[low + 1]];
+            bucket.sort_unstable();
+            let mut previous = None;
+            for &(high, index) in bucket.iter() {
+                if previous != Some(high) {
+                    previous = Some(high);
+                    first[index] = true;
+                    offsets[low + 1] += 1;
+                    offsets[high + 1] += 1;
+                }
+            }
+        }
+        prefix_sum(&mut offsets);
+
+        // CSR fill in (low, high) order: a node's lower neighbours arrive
+        // (ascending) before its higher ones (ascending), so every run
+        // comes out sorted.
+        fill.copy_from_slice(&offsets);
+        let mut neighbors = vec![0usize; offsets[n_nodes]];
+        for low in 0..n_nodes {
+            for &(high, index) in &buckets[starts[low]..starts[low + 1]] {
+                if first[index] {
+                    neighbors[fill[low]] = high;
+                    fill[low] += 1;
+                    neighbors[fill[high]] = low;
+                    fill[high] += 1;
+                }
+            }
+        }
+
+        Ok(Topology {
             name: name.into(),
             n_nodes,
-            edges: normalized,
-            adjacency,
-        }
+            edges: edges
+                .iter()
+                .zip(&first)
+                .filter(|&(_, &first)| first)
+                .map(|(&(a, b), _)| (a.min(b), a.max(b)))
+                .collect(),
+            offsets,
+            neighbors,
+        })
     }
 
     /// The paper's evaluation mesh: a `⌈√n⌉ × ⌈n/⌈√n⌉⌉` rectangular grid
@@ -174,7 +311,8 @@ impl Topology {
         debug_assert_eq!(next, n_nodes);
         let node_at = |r: usize, col: usize| row_base[r] + col - col_offset(r);
 
-        let mut edges = Vec::new();
+        // Degree is at most 3, so there are at most 3n/2 edges.
+        let mut edges = Vec::with_capacity(3 * n_nodes / 2);
         for r in 0..d {
             // Horizontal edges along row r.
             for i in 0..row_len(r) - 1 {
@@ -183,12 +321,12 @@ impl Topology {
             // Bridges of gap r: first every upper anchor → bridge edge,
             // then every bridge → lower anchor edge (published order).
             if r + 1 < d {
-                let cols: Vec<usize> = (0..d.div_ceil(2)).map(|j| 2 * (r % 2) + 4 * j).collect();
-                for (j, &col) in cols.iter().enumerate() {
-                    edges.push((node_at(r, col), bridge_base[r] + j));
+                let col = |j: usize| 2 * (r % 2) + 4 * j;
+                for j in 0..d.div_ceil(2) {
+                    edges.push((node_at(r, col(j)), bridge_base[r] + j));
                 }
-                for (j, &col) in cols.iter().enumerate() {
-                    edges.push((bridge_base[r] + j, node_at(r + 1, col)));
+                for j in 0..d.div_ceil(2) {
+                    edges.push((bridge_base[r] + j, node_at(r + 1, col(j))));
                 }
             }
         }
@@ -314,13 +452,13 @@ impl Topology {
 
     /// Returns `true` when `a` and `b` are coupled.
     ///
-    /// `O(1)` via the per-node adjacency sets. Out-of-range nodes are
-    /// simply not coupled to anything.
+    /// A binary search of `a`'s sorted neighbour run. Out-of-range nodes
+    /// are simply not coupled to anything.
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        match self.adjacency.get(a) {
-            Some(set) => set.contains(&b),
-            // Deserialized without the derived sets (or out of range):
-            // answer from the edge list.
+        match self.adjacent(a) {
+            Some(run) => run.binary_search(&b).is_ok(),
+            // Deserialized without the derived adjacency (or out of
+            // range): answer from the edge list.
             None if a < self.n_nodes => self.edges.contains(&(a.min(b), a.max(b))),
             None => false,
         }
@@ -328,24 +466,33 @@ impl Topology {
 
     /// Neighbors of a node, sorted ascending.
     pub fn neighbors(&self, v: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = match self.adjacency.get(v) {
-            Some(set) => set.iter().copied().collect(),
-            None => self
-                .edges
-                .iter()
-                .filter_map(|&(a, b)| {
-                    if a == v {
-                        Some(b)
-                    } else if b == v {
-                        Some(a)
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        };
-        out.sort_unstable();
-        out
+        match self.adjacent(v) {
+            Some(run) => run.to_vec(),
+            None => {
+                let mut out: Vec<usize> = self
+                    .edges
+                    .iter()
+                    .filter_map(|&(a, b)| {
+                        if a == v {
+                            Some(b)
+                        } else if b == v {
+                            Some(a)
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                out.sort_unstable();
+                out
+            }
+        }
+    }
+
+    /// Node `v`'s sorted neighbour run in the CSR adjacency, or `None`
+    /// when `v` is out of range or the adjacency is absent.
+    fn adjacent(&self, v: usize) -> Option<&[usize]> {
+        let (&start, &end) = (self.offsets.get(v)?, self.offsets.get(v + 1)?);
+        Some(&self.neighbors[start..end])
     }
 
     /// A stable 64-bit fingerprint of the coupling *structure*: node count
@@ -373,6 +520,14 @@ impl Topology {
     /// The median node (minimum total BFS distance) — where mapping starts.
     pub fn center(&self) -> usize {
         self.to_ugraph().center()
+    }
+}
+
+/// Turns per-slot counts (`counts[v + 1]` for slot `v`) into CSR start
+/// offsets, in place.
+fn prefix_sum(counts: &mut [usize]) {
+    for v in 1..counts.len() {
+        counts[v] += counts[v - 1];
     }
 }
 
@@ -522,8 +677,8 @@ mod tests {
     #[test]
     fn dense_65_node_dedup_regression() {
         // Complete 65-node coupling fed in both orientations (4160 raw
-        // edges): the hash-set dedup must collapse it to the 2080 unique
-        // edges without the old quadratic `Vec::contains` scan.
+        // edges): the sort-based dedup must collapse it to the 2080 unique
+        // edges without a quadratic `Vec::contains` scan.
         let n = 65;
         let mut raw = Vec::new();
         for a in 0..n {
@@ -594,14 +749,64 @@ mod tests {
 
     #[test]
     fn structural_fingerprint_is_stable() {
-        // Pinned value: the fingerprint is a documented content address and
-        // must never drift across runs or refactors (cache keys depend on
-        // it). line(3) = 3 nodes, edges [(0,1),(1,2)].
-        let t = Topology::line(3);
-        assert_eq!(t.structural_fingerprint(), t.structural_fingerprint());
+        // Pinned values: the fingerprint is a documented content address
+        // and must never drift across runs or refactors. Session registry
+        // keys and on-disk cache keys hash it, so a change here (say, a
+        // constructor that reorders edges) orphans every stored entry.
+        for (topology, pinned) in [
+            (Topology::line(3), 0xc1fe_4ee6_4b8e_80c6u64),
+            (Topology::grid(16), 0xda5a_b160_aa57_852d),
+            (Topology::grid(40), 0xb444_219d_f0fc_3221),
+            (Topology::heavy_hex(21), 0x23e5_aa0b_e3ae_abd8),
+        ] {
+            assert_eq!(
+                topology.structural_fingerprint(),
+                pinned,
+                "{}",
+                topology.name()
+            );
+        }
+    }
+
+    #[test]
+    fn try_from_edges_reports_a_self_loop_with_its_index() {
+        let err = Topology::try_from_edges("t", 3, vec![(0, 1), (1, 2), (1, 1)]).unwrap_err();
+        assert_eq!(err, TopologyError::SelfLoop { index: 2, node: 1 });
+        assert_eq!(err.to_string(), "edges[2] is a self-loop on node 1");
+        // The self-loop check runs before the range check on each edge.
+        let err = Topology::try_from_edges("t", 3, vec![(5, 5)]).unwrap_err();
+        assert_eq!(err, TopologyError::SelfLoop { index: 0, node: 5 });
+    }
+
+    #[test]
+    fn try_from_edges_reports_an_out_of_range_edge_with_its_index() {
+        let err = Topology::try_from_edges("t", 3, vec![(0, 1), (2, 3), (1, 1)]).unwrap_err();
         assert_eq!(
-            t.structural_fingerprint(),
-            Topology::line(3).structural_fingerprint()
+            err,
+            TopologyError::OutOfRange {
+                index: 1,
+                a: 2,
+                b: 3,
+                n_nodes: 3
+            }
         );
+        assert_eq!(
+            err.to_string(),
+            "edges[1] = [2,3] is out of range for 3 node(s)"
+        );
+    }
+
+    #[test]
+    fn try_from_edges_builds_what_from_edges_builds() {
+        let edges = vec![(2, 3), (1, 0), (3, 2), (0, 2)];
+        let t = Topology::try_from_edges("t", 4, edges.clone()).unwrap();
+        assert_eq!(t, Topology::from_edges("t", 4, edges));
+        assert_eq!(t.neighbors(2), vec![0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint out of range")]
+    fn from_edges_rejects_out_of_range_endpoint() {
+        Topology::from_edges("bad", 2, vec![(0, 2)]);
     }
 }

@@ -78,9 +78,9 @@ proptest! {
 
     #[test]
     fn adjacency_sets_agree_with_edge_list(topo in arb_topology()) {
-        // `has_edge` now answers from per-node adjacency sets; it must
-        // agree with a literal scan of the normalized edge list for every
-        // node pair (including non-edges and out-of-range probes).
+        // `has_edge` answers from the sorted CSR adjacency; it must agree
+        // with a literal scan of the normalized edge list for every node
+        // pair (including non-edges and out-of-range probes).
         let n = topo.n_nodes();
         let edge_scan = |a: usize, b: usize| {
             topo.edges().contains(&(a.min(b), a.max(b)))

@@ -263,10 +263,11 @@ fn bench_large_device_routing(c: &mut Criterion) {
     group.finish();
 }
 
-/// Routing-hot-path adjacency probe: `Topology::has_edge` over every node
-/// pair of the 65-qubit heavy-hex device (the router queries it for every
-/// candidate two-unit op). The adjacency-set representation makes each
-/// probe `O(1)` instead of a scan of the 72-edge list.
+/// Adjacency probe: `Topology::has_edge` over every node pair of the
+/// 65-qubit heavy-hex device, each a binary search of one node's sorted
+/// neighbour run in the CSR adjacency. The main router reads
+/// `ExpandedGraph::units_coupled`, a bitmap, instead; the full-ququart
+/// baseline's BFS router is the compile path that still probes this.
 fn bench_has_edge(c: &mut Criterion) {
     let topo = Topology::heavy_hex_65();
     let n = topo.n_nodes();

@@ -151,6 +151,16 @@ impl Gate {
         }
     }
 
+    /// [`Gate::qubits`] without the allocation: the operands in a
+    /// two-slot array, and how many of the slots are used.
+    pub(crate) fn operand_slots(&self) -> ([Qubit; 2], usize) {
+        match *self {
+            Gate::Single { qubit, .. } => ([qubit, qubit], 1),
+            Gate::Cx { control, target } => ([control, target], 2),
+            Gate::Swap { a, b } => ([a, b], 2),
+        }
+    }
+
     /// Returns `true` for CX and SWAP gates.
     pub fn is_two_qubit(&self) -> bool {
         !matches!(self, Gate::Single { .. })

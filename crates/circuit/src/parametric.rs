@@ -151,7 +151,8 @@ impl ParametricCircuit {
     /// Panics if any operand is out of range or a two-qubit gate addresses
     /// the same qubit twice (same contract as [`Circuit::push`]).
     pub fn push(&mut self, gate: Gate) {
-        for q in gate.qubits() {
+        let (slots, used) = gate.operand_slots();
+        for &q in &slots[..used] {
             assert!(
                 q < self.n_qubits,
                 "gate {gate} addresses qubit {q} but skeleton has {} qubits",

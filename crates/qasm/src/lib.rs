@@ -35,7 +35,15 @@
 //! declaration at its own line before anything is allocated — a 24-byte
 //! `qreg q[1000000000];` must not size a billion-qubit circuit. Callers
 //! admitting untrusted programs can tighten the cap with
-//! [`parse_qasm_bounded`] / [`parse_parametric_qasm_bounded`].
+//! [`parse_qasm_bounded`] / [`parse_parametric_qasm_bounded`], and cap
+//! the gate count too with [`parse_qasm_limited`]: whole-register
+//! broadcast makes gates cheap to ask for (`h q;` is 256 gates on a
+//! 256-qubit register), so the gate cap stops the parse at the first
+//! statement that would cross it, before the gate buffer grows.
+//!
+//! The parser makes one pass over the source and appends each
+//! statement's gates straight to its output buffer, with no allocation
+//! per statement or per gate.
 //!
 //! ```
 //! use qompress_qasm::{parse_qasm, random_circuit, to_qasm};
@@ -54,7 +62,7 @@ mod write;
 
 pub use parse::{
     parse_parametric_qasm, parse_parametric_qasm_bounded, parse_qasm, parse_qasm_bounded,
-    DEFAULT_MAX_QUBITS,
+    parse_qasm_limited, DEFAULT_MAX_QUBITS,
 };
 pub use random::{random_circuit, random_parametric_circuit, RandomCircuitOptions};
 pub use write::{to_parametric_qasm, to_qasm};

@@ -1,9 +1,18 @@
 //! The OpenQASM-2.0-subset parser.
+//!
+//! One pass over the source: [`Statements`] cuts the bytes into
+//! `;`-terminated statements as it goes, and each statement is parsed in
+//! place and its gates appended to one output buffer. No statement,
+//! operand list or gate costs an allocation of its own; the only
+//! allocations are the gate buffer and the program built from it, the
+//! register table, and a scratch string reused by statements that span
+//! several lines.
 
 use crate::QasmError;
 use qompress_circuit::{
     Circuit, Gate, ParamId, ParametricCircuit, ParametricGate, RotationAxis, SingleQubitKind,
 };
+use std::ops::Range;
 
 /// Upper bound on formal parameter ids (`theta<id>`): keeps a hostile
 /// program from forcing a gigantic bind vector via `rz(theta999999999)`.
@@ -17,19 +26,6 @@ const MAX_PARAM_ID: ParamId = 1 << 16;
 /// tighten it further via [`parse_qasm_bounded`] /
 /// [`parse_parametric_qasm_bounded`].
 pub const DEFAULT_MAX_QUBITS: usize = 1 << 16;
-
-/// One `;`-terminated statement with the line it started on.
-struct Statement {
-    text: String,
-    line: usize,
-}
-
-/// A declared quantum register: offset into the flattened qubit space.
-struct QReg {
-    name: String,
-    offset: usize,
-    size: usize,
-}
 
 /// Parses an OpenQASM 2.0 subset program into a [`Circuit`].
 ///
@@ -49,8 +45,7 @@ pub fn parse_qasm(source: &str) -> Result<Circuit, QasmError> {
 
 /// [`parse_qasm`] with an explicit `max_qubits` cap on the program's
 /// total qubit count (never looser than [`DEFAULT_MAX_QUBITS`] is by
-/// default). The wire service parses untrusted programs through this
-/// with its configured limit.
+/// default).
 ///
 /// # Errors
 ///
@@ -58,9 +53,7 @@ pub fn parse_qasm(source: &str) -> Result<Circuit, QasmError> {
 /// pushes the running qubit total past `max_qubits` — reported with that
 /// declaration's line number, before any circuit storage is sized.
 pub fn parse_qasm_bounded(source: &str, max_qubits: usize) -> Result<Circuit, QasmError> {
-    // `allow_params = false` guarantees a zero-parameter skeleton, so the
-    // empty bind is total and just moves the gates into a `Circuit`.
-    Ok(parse_program(source, false, max_qubits)?.bind(&[]))
+    parse_qasm_limited(source, max_qubits, None)
 }
 
 /// Parses an OpenQASM 2.0 subset program that may carry formal rotation
@@ -92,196 +85,273 @@ pub fn parse_parametric_qasm_bounded(
     source: &str,
     max_qubits: usize,
 ) -> Result<ParametricCircuit, QasmError> {
-    parse_program(source, true, max_qubits)
+    parse_qasm_limited(source, max_qubits, None)
 }
 
-/// The shared parse loop behind [`parse_qasm`] and
-/// [`parse_parametric_qasm`]; `allow_params` gates whether `theta<id>`
-/// spellings are accepted as formal parameters.
-fn parse_program(
+/// Parses a program under both admission caps: at most `max_qubits`
+/// qubits over all `qreg` declarations, and, when `max_gates` is set, at
+/// most that many gates. Gates are counted after lowering (`cz` is three
+/// gates, a whole-register broadcast one per qubit), so the cap bounds
+/// exactly what `len()` of the result reports. The wire service parses
+/// untrusted programs through this with its configured limits.
+///
+/// The output type picks the dialect: [`Circuit`] parses like
+/// [`parse_qasm`] and rejects formal parameters; [`ParametricCircuit`]
+/// parses like [`parse_parametric_qasm`]. No other type implements the
+/// (sealed) bound.
+///
+/// ```
+/// use qompress_circuit::Circuit;
+/// use qompress_qasm::parse_qasm_limited;
+///
+/// let src = "OPENQASM 2.0;\nqreg q[4];\nh q;\n";
+/// let circuit: Circuit = parse_qasm_limited(src, 4, Some(4)).unwrap();
+/// assert_eq!(circuit.len(), 4);
+/// let err = parse_qasm_limited::<Circuit>(src, 4, Some(3)).unwrap_err();
+/// assert_eq!((err.line, err.message.as_str()), (3, "program exceeds the limit of 3 gates"));
+/// ```
+///
+/// # Errors
+///
+/// Everything the `_bounded` parser of the chosen dialect rejects, plus
+/// the first statement that would take the gate count past `max_gates`.
+/// That statement fails at its own line with the message
+/// `program exceeds the limit of {max_gates} gates`, before the gate
+/// buffer grows. As with every error, an unterminated trailing statement
+/// is reported instead.
+pub fn parse_qasm_limited<P: Program>(
     source: &str,
-    allow_params: bool,
     max_qubits: usize,
-) -> Result<ParametricCircuit, QasmError> {
-    let statements = split_statements(source)?;
-    let mut qregs: Vec<QReg> = Vec::new();
-    let mut n_qubits = 0usize;
-    // Gates are collected before the circuit is sized: declarations may
-    // appear between gates (each gate sees the registers declared so far,
-    // per QASM's declare-before-use rule), so the final qubit count is
-    // only known after the whole program is read.
-    let mut gates: Vec<(ParametricGate, usize)> = Vec::new();
-    let mut saw_header = false;
-
-    for stmt in &statements {
-        let text = stmt.text.as_str();
-        let line = stmt.line;
-        let (keyword, rest) = split_keyword(text);
-        if !saw_header {
-            if keyword != "OPENQASM" {
-                return Err(QasmError::new(line, "expected `OPENQASM 2.0;` header"));
-            }
-            if rest.trim() != "2.0" {
-                return Err(QasmError::new(
-                    line,
-                    format!("unsupported OPENQASM version `{}`", rest.trim()),
-                ));
-            }
-            saw_header = true;
-            continue;
-        }
-        match keyword {
-            "OPENQASM" => {
-                return Err(QasmError::new(line, "duplicate OPENQASM header"));
-            }
-            "include" => {} // headers carry no semantics for this subset
-            "creg" => {}    // classical registers are ignored
-            "barrier" => {} // scheduling hint; the compiler re-schedules anyway
-            "qreg" => {
-                let (name, size) = parse_declaration(rest, line)?;
-                if qregs.iter().any(|r| r.name == name) {
-                    return Err(QasmError::new(line, format!("duplicate register `{name}`")));
-                }
-                // Checked *before* the running total grows (and with
-                // overflow-safe arithmetic), so a hostile `qreg
-                // q[1000000000];` is rejected here — nothing downstream
-                // ever sees the huge count, let alone allocates for it.
-                let total = n_qubits.checked_add(size).filter(|&t| t <= max_qubits);
-                let Some(total) = total else {
-                    return Err(QasmError::new(
-                        line,
-                        format!(
-                            "register `{name}` of size {size} pushes the program past \
-                             the limit of {max_qubits} qubits"
-                        ),
-                    ));
-                };
-                qregs.push(QReg {
-                    name,
-                    offset: n_qubits,
-                    size,
-                });
-                n_qubits = total;
-            }
-            "measure" | "reset" | "gate" | "if" | "opaque" => {
-                return Err(QasmError::new(
-                    line,
-                    format!("unsupported statement `{keyword}` (subset parser)"),
-                ));
-            }
-            "" => {
-                return Err(QasmError::new(line, "empty statement"));
-            }
-            _ => {
-                for gate in parse_gate(keyword, rest, &qregs, line, allow_params)? {
-                    gates.push((gate, line));
-                }
-            }
+    max_gates: Option<usize>,
+) -> Result<P, QasmError> {
+    let mut statements = Statements::new(source);
+    let mut builder = Builder::new(P::PARAMETRIC, max_qubits, max_gates.unwrap_or(usize::MAX));
+    while let Some((line, text)) = statements.next() {
+        if let Err(err) = builder.statement(text, line) {
+            // The whole source is split before any statement is judged,
+            // so an unterminated trailing statement outranks this error.
+            statements.finish()?;
+            return Err(err);
         }
     }
-    if !saw_header {
+    statements.finish()?;
+    if !builder.saw_header {
         return Err(QasmError::new(1, "expected `OPENQASM 2.0;` header"));
     }
+    Ok(P::build(builder.n_qubits, builder.gates))
+}
 
-    let mut skeleton = ParametricCircuit::new(n_qubits);
-    for (gate, _line) in gates {
-        // Operands were validated against the register table above, so the
-        // pushes cannot panic.
-        match gate {
-            ParametricGate::Fixed(g) => skeleton.push(g),
-            ParametricGate::Rotation { axis, param, qubit } => {
-                skeleton.push_param(axis, param, qubit)
+mod sealed {
+    use qompress_circuit::ParametricGate;
+
+    /// The program types [`super::parse_qasm_limited`] can produce.
+    pub trait Program: Sized {
+        /// Whether `theta<id>` rotation arguments are formal parameters.
+        const PARAMETRIC: bool;
+        /// Builds the program from gates whose operands were already
+        /// checked against the `n_qubits` declared qubits.
+        fn build(n_qubits: usize, gates: Vec<ParametricGate>) -> Self;
+    }
+}
+
+use sealed::Program;
+
+impl Program for Circuit {
+    const PARAMETRIC: bool = false;
+
+    fn build(n_qubits: usize, gates: Vec<ParametricGate>) -> Self {
+        let mut circuit = Circuit::new(n_qubits);
+        for gate in gates {
+            match gate {
+                ParametricGate::Fixed(g) => circuit.push(g),
+                ParametricGate::Rotation { .. } => {
+                    unreachable!("the concrete dialect rejects formal parameters")
+                }
             }
         }
+        circuit
     }
-    Ok(skeleton)
 }
 
-/// Strips comments and splits the source into `;`-terminated statements.
-fn split_statements(source: &str) -> Result<Vec<Statement>, QasmError> {
-    let mut statements = Vec::new();
-    let mut current = String::new();
-    let mut start_line = 1usize;
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = raw.split("//").next().unwrap_or("");
-        for ch in line.chars() {
-            if ch == ';' {
-                let text = current.trim().to_string();
-                if !text.is_empty() {
-                    statements.push(Statement {
-                        text,
-                        line: start_line,
-                    });
+impl Program for ParametricCircuit {
+    const PARAMETRIC: bool = true;
+
+    fn build(n_qubits: usize, gates: Vec<ParametricGate>) -> Self {
+        let mut skeleton = ParametricCircuit::new(n_qubits);
+        for gate in gates {
+            match gate {
+                ParametricGate::Fixed(g) => skeleton.push(g),
+                ParametricGate::Rotation { axis, param, qubit } => {
+                    skeleton.push_param(axis, param, qubit)
                 }
-                current.clear();
-            } else {
-                if current.trim().is_empty() && !ch.is_whitespace() {
-                    start_line = lineno + 1;
-                }
-                current.push(ch);
             }
         }
-        current.push(' ');
+        skeleton
     }
-    if !current.trim().is_empty() {
-        return Err(QasmError::new(
-            start_line,
-            format!("statement not terminated by `;`: `{}`", current.trim()),
-        ));
-    }
-    Ok(statements)
 }
 
-/// Splits a statement into its leading keyword and the remainder.
-fn split_keyword(text: &str) -> (&str, &str) {
-    let end = text
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.'))
-        .unwrap_or(text.len());
-    (&text[..end], &text[end..])
+/// Cuts the source into `;`-terminated statements on demand, in one scan
+/// over its bytes.
+///
+/// Each statement comes back as its trimmed text and the line of its
+/// first non-blank character. Lines split like `str::lines` (at `\n`,
+/// dropping one `\r` before it), and a comment runs from `//` to the end
+/// of its line. A statement on one line is a slice of the source; one
+/// that spans lines reads with each line break as one space, so its text
+/// is assembled in a scratch string.
+struct Statements<'a> {
+    src: &'a str,
+    /// Next byte to scan.
+    cursor: usize,
+    /// 1-based number of the line being scanned.
+    line: usize,
+    /// Byte offset where that line starts.
+    line_start: usize,
+    /// The statement that has begun but not yet reached its `;`.
+    open: Option<Open>,
+    /// The text so far of an open statement that began on an earlier
+    /// line.
+    scratch: String,
 }
 
-/// Parses `name[size]` from a qreg/creg declaration.
-fn parse_declaration(rest: &str, line: usize) -> Result<(String, usize), QasmError> {
-    let rest = rest.trim();
-    let (name, idx) = split_indexed(rest, line)?;
-    if name.is_empty() {
-        return Err(QasmError::new(line, "register declaration needs a name"));
-    }
-    if idx == 0 {
-        return Err(QasmError::new(line, "register size must be positive"));
-    }
-    Ok((name.to_string(), idx))
+/// An open statement: its first line, and where its text starts if it
+/// began on the line being scanned (`None` once it lives in the scratch
+/// string).
+struct Open {
+    line: usize,
+    start: Option<usize>,
 }
 
-/// Parses `name[index]`, rejecting anything else.
-fn split_indexed(text: &str, line: usize) -> Result<(&str, usize), QasmError> {
-    let text = text.trim();
-    let open = text
-        .find('[')
-        .ok_or_else(|| QasmError::new(line, format!("expected `name[index]`, got `{text}`")))?;
-    let close = text
-        .rfind(']')
-        .filter(|&c| c == text.len() - 1 && c > open)
-        .ok_or_else(|| QasmError::new(line, format!("unbalanced brackets in `{text}`")))?;
-    let name = text[..open].trim();
-    if !is_identifier(name) {
-        return Err(QasmError::new(line, format!("bad identifier `{name}`")));
+impl<'a> Statements<'a> {
+    fn new(src: &'a str) -> Self {
+        Statements {
+            src,
+            cursor: 0,
+            line: 1,
+            line_start: 0,
+            open: None,
+            scratch: String::new(),
+        }
     }
-    let idx: usize = text[open + 1..close]
-        .trim()
-        .parse()
-        .map_err(|_| QasmError::new(line, format!("bad index in `{text}`")))?;
-    Ok((name, idx))
+
+    /// The next statement as `(line, text)`, or `None` once the source is
+    /// exhausted (see [`Self::finish`] for what may be left open).
+    fn next(&mut self) -> Option<(usize, &str)> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        while self.cursor < bytes.len() {
+            let at = self.cursor;
+            match bytes[at] {
+                b'\n' => {
+                    let content_end = if at > self.line_start && bytes[at - 1] == b'\r' {
+                        at - 1
+                    } else {
+                        at
+                    };
+                    self.end_line(content_end, at + 1);
+                }
+                b'/' if bytes.get(at + 1) == Some(&b'/') => {
+                    // The comment runs to the newline, which ends the line.
+                    let newline = bytes[at..].iter().position(|&b| b == b'\n');
+                    match newline {
+                        Some(offset) => self.end_line(at, at + offset + 1),
+                        None => self.end_line(at, bytes.len()),
+                    }
+                }
+                b';' => {
+                    self.cursor = at + 1;
+                    if let Some(open) = self.open.take() {
+                        let text = match open.start {
+                            Some(start) => &src[start..at],
+                            None => {
+                                self.scratch.push_str(&src[self.line_start..at]);
+                                &self.scratch
+                            }
+                        };
+                        // The text starts at a non-blank character, so
+                        // only its end needs trimming.
+                        return Some((open.line, text.trim_end()));
+                    }
+                }
+                _ if self.open.is_some() => {
+                    // Inside a statement only `;`, `\n` and `//` matter.
+                    let skip = bytes[at..]
+                        .iter()
+                        .position(|&b| matches!(b, b';' | b'\n' | b'/'))
+                        .unwrap_or(bytes.len() - at);
+                    self.cursor = at + skip.max(1);
+                }
+                byte => {
+                    let c = if byte.is_ascii() {
+                        char::from(byte)
+                    } else {
+                        src[at..].chars().next().unwrap_or_default()
+                    };
+                    if !c.is_whitespace() {
+                        self.open = Some(Open {
+                            line: self.line,
+                            start: Some(at),
+                        });
+                    }
+                    self.cursor = at + c.len_utf8();
+                }
+            }
+        }
+        // A last line without its `\n` ends with the source.
+        if self.line_start < bytes.len() {
+            self.end_line(bytes.len(), bytes.len());
+        }
+        None
+    }
+
+    /// Ends the current line: its text runs to `content_end` and the next
+    /// line starts at `next`. An open statement continues on the next
+    /// line after one space.
+    fn end_line(&mut self, content_end: usize, next: usize) {
+        if let Some(open) = &mut self.open {
+            let from = match open.start.take() {
+                Some(start) => {
+                    self.scratch.clear();
+                    start
+                }
+                None => self.line_start,
+            };
+            self.scratch.push_str(&self.src[from..content_end]);
+            self.scratch.push(' ');
+        }
+        self.line += 1;
+        self.line_start = next;
+        self.cursor = next;
+    }
+
+    /// Scans the rest of the source and reports a statement left without
+    /// its `;`.
+    fn finish(mut self) -> Result<(), QasmError> {
+        while self.next().is_some() {}
+        match &self.open {
+            None => Ok(()),
+            Some(open) => Err(QasmError::new(
+                open.line,
+                format!(
+                    "statement not terminated by `;`: `{}`",
+                    self.scratch.trim_end()
+                ),
+            )),
+        }
+    }
 }
 
-fn is_identifier(s: &str) -> bool {
-    let mut chars = s.chars();
-    matches!(chars.next(), Some(c) if c.is_ascii_lowercase() || c == '_')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+/// A declared quantum register: offset into the flattened qubit space.
+struct QReg {
+    /// The name's byte range in [`Builder::names`].
+    name: Range<usize>,
+    offset: usize,
+    size: usize,
 }
 
 /// One resolved gate operand: a single qubit (`q[3]`) or a whole-register
 /// broadcast (`q`), which OpenQASM applies element-wise.
+#[derive(Clone, Copy)]
 enum Operand {
     One(usize),
     /// Flattened qubit range `offset..offset + size` of the register.
@@ -293,192 +363,422 @@ enum Operand {
 
 impl Operand {
     /// The flattened qubit indices this operand covers, in register order.
-    fn qubits(&self) -> std::ops::Range<usize> {
-        match *self {
+    fn qubits(self) -> Range<usize> {
+        match self {
             Operand::One(q) => q..q + 1,
             Operand::All { offset, size } => offset..offset + size,
         }
     }
 }
 
-/// Resolves `name[index]` to a flattened qubit index, or a bare declared
-/// register name to a broadcast over its qubits.
-fn resolve_operand(text: &str, qregs: &[QReg], line: usize) -> Result<Operand, QasmError> {
-    let text = text.trim();
-    let lookup = |name: &str| -> Result<&QReg, QasmError> {
-        qregs
-            .iter()
-            .find(|r| r.name == name)
-            .ok_or_else(|| QasmError::new(line, format!("undeclared register `{name}`")))
-    };
-    if !text.contains('[') {
-        if !is_identifier(text) {
-            return Err(QasmError::new(
-                line,
-                format!("expected `name[index]` or a register name, got `{text}`"),
-            ));
-        }
-        let reg = lookup(text)?;
-        return Ok(Operand::All {
-            offset: reg.offset,
-            size: reg.size,
-        });
-    }
-    let (name, idx) = split_indexed(text, line)?;
-    let reg = lookup(name)?;
-    if idx >= reg.size {
-        return Err(QasmError::new(
-            line,
-            format!("index {idx} out of range for `{name}[{}]`", reg.size),
-        ));
-    }
-    Ok(Operand::One(reg.offset + idx))
+/// The gates a statement may name.
+#[derive(Clone, Copy)]
+enum GateName {
+    Fixed(SingleQubitKind),
+    Rotation(RotationAxis),
+    Cx,
+    Cz,
+    Swap,
 }
 
-/// Parses one gate application, possibly lowering to several gates.
-///
-/// Concrete gates come back as [`ParametricGate::Fixed`]; with
-/// `allow_params` set, `theta<id>` rotation arguments become
-/// [`ParametricGate::Rotation`] sites.
-fn parse_gate(
-    name: &str,
-    rest: &str,
-    qregs: &[QReg],
-    line: usize,
-    allow_params: bool,
-) -> Result<Vec<ParametricGate>, QasmError> {
-    let rest = rest.trim();
-    // Optional parenthesized parameter list.
-    let (params, operands_text) = if let Some(stripped) = rest.strip_prefix('(') {
-        let close = stripped
-            .find(')')
-            .ok_or_else(|| QasmError::new(line, "unclosed parameter list"))?;
-        (Some(stripped[..close].trim()), stripped[close + 1..].trim())
-    } else {
-        (None, rest)
-    };
-    let operands: Vec<Operand> = operands_text
-        .split(',')
-        .map(|op| resolve_operand(op, qregs, line))
-        .collect::<Result<_, _>>()?;
+impl GateName {
+    fn of(name: &str) -> Option<GateName> {
+        Some(match name {
+            "x" => GateName::Fixed(SingleQubitKind::X),
+            "y" => GateName::Fixed(SingleQubitKind::Y),
+            "z" => GateName::Fixed(SingleQubitKind::Z),
+            "h" => GateName::Fixed(SingleQubitKind::H),
+            "s" => GateName::Fixed(SingleQubitKind::S),
+            "sdg" => GateName::Fixed(SingleQubitKind::Sdg),
+            "t" => GateName::Fixed(SingleQubitKind::T),
+            "tdg" => GateName::Fixed(SingleQubitKind::Tdg),
+            "rx" => GateName::Rotation(RotationAxis::Rx),
+            "ry" => GateName::Rotation(RotationAxis::Ry),
+            "rz" => GateName::Rotation(RotationAxis::Rz),
+            "cx" | "CX" => GateName::Cx,
+            "cz" => GateName::Cz,
+            "swap" => GateName::Swap,
+            _ => return None,
+        })
+    }
+}
 
-    let arity = |want: usize| -> Result<(), QasmError> {
-        if operands.len() == want {
-            Ok(())
-        } else {
-            Err(QasmError::new(
-                line,
-                format!("`{name}` takes {want} operand(s), got {}", operands.len()),
-            ))
+/// Parse state: the register table and the output gate buffer.
+struct Builder {
+    /// Whether `theta<id>` spellings are accepted as formal parameters.
+    allow_params: bool,
+    max_qubits: usize,
+    max_gates: usize,
+    saw_header: bool,
+    /// Every register name, back to back.
+    names: String,
+    qregs: Vec<QReg>,
+    n_qubits: usize,
+    gates: Vec<ParametricGate>,
+}
+
+impl Builder {
+    fn new(allow_params: bool, max_qubits: usize, max_gates: usize) -> Self {
+        Builder {
+            allow_params,
+            max_qubits,
+            max_gates,
+            saw_header: false,
+            names: String::new(),
+            qregs: Vec::new(),
+            n_qubits: 0,
+            gates: Vec::new(),
         }
-    };
-    let no_params = |gates: Vec<Gate>| -> Result<Vec<ParametricGate>, QasmError> {
-        if params.is_some() {
-            Err(QasmError::new(
+    }
+
+    /// Parses one statement.
+    fn statement(&mut self, text: &str, line: usize) -> Result<(), QasmError> {
+        let (keyword, rest) = split_keyword(text);
+        if !self.saw_header {
+            if keyword != "OPENQASM" {
+                return Err(QasmError::new(line, "expected `OPENQASM 2.0;` header"));
+            }
+            if rest.trim() != "2.0" {
+                return Err(QasmError::new(
+                    line,
+                    format!("unsupported OPENQASM version `{}`", rest.trim()),
+                ));
+            }
+            self.saw_header = true;
+            return Ok(());
+        }
+        match keyword {
+            "OPENQASM" => Err(QasmError::new(line, "duplicate OPENQASM header")),
+            "include" => Ok(()), // headers carry no semantics for this subset
+            "creg" => Ok(()),    // classical registers are ignored
+            "barrier" => Ok(()), // scheduling hint; the compiler re-schedules anyway
+            "qreg" => self.declare(rest, line),
+            "measure" | "reset" | "gate" | "if" | "opaque" => Err(QasmError::new(
+                line,
+                format!("unsupported statement `{keyword}` (subset parser)"),
+            )),
+            "" => Err(QasmError::new(line, "empty statement")),
+            _ => self.gate(keyword, rest, line),
+        }
+    }
+
+    /// Declares the register of a `qreg` statement.
+    fn declare(&mut self, rest: &str, line: usize) -> Result<(), QasmError> {
+        let (name, size) = parse_declaration(rest, line)?;
+        if self.register(name).is_some() {
+            return Err(QasmError::new(line, format!("duplicate register `{name}`")));
+        }
+        // Checked *before* the running total grows (and with overflow-safe
+        // arithmetic), so a hostile `qreg q[1000000000];` is rejected here
+        // — nothing downstream ever sees the huge count, let alone
+        // allocates for it.
+        let total = self
+            .n_qubits
+            .checked_add(size)
+            .filter(|&t| t <= self.max_qubits);
+        let Some(total) = total else {
+            return Err(QasmError::new(
+                line,
+                format!(
+                    "register `{name}` of size {size} pushes the program past \
+                     the limit of {} qubits",
+                    self.max_qubits
+                ),
+            ));
+        };
+        let start = self.names.len();
+        self.names.push_str(name);
+        self.qregs.push(QReg {
+            name: start..self.names.len(),
+            offset: self.n_qubits,
+            size,
+        });
+        self.n_qubits = total;
+        Ok(())
+    }
+
+    /// The declared register called `name`.
+    fn register(&self, name: &str) -> Option<&QReg> {
+        let names = self.names.as_bytes();
+        self.qregs
+            .iter()
+            .find(|r| &names[r.name.clone()] == name.as_bytes())
+    }
+
+    /// Parses one gate statement and appends its gates, lowered into the
+    /// compiler's gate set.
+    ///
+    /// Every operand is resolved before the gate name is looked up, so a
+    /// bad operand outranks an unknown gate, and every other error of the
+    /// statement outranks the gate cap. With `allow_params` set,
+    /// `theta<id>` rotation arguments become rotation sites.
+    fn gate(&mut self, name: &str, rest: &str, line: usize) -> Result<(), QasmError> {
+        let rest = trim(rest);
+        // Optional parenthesized parameter list.
+        let (params, mut operands_text) = if let Some(stripped) = rest.strip_prefix('(') {
+            let close = find_byte(stripped, b')')
+                .ok_or_else(|| QasmError::new(line, "unclosed parameter list"))?;
+            (Some(trim(&stripped[..close])), trim(&stripped[close + 1..]))
+        } else {
+            (None, rest)
+        };
+        // Resolve every comma-separated operand; only the first two are
+        // ever used.
+        let mut operands = [Operand::One(0); 2];
+        let mut count = 0usize;
+        loop {
+            let comma = find_byte(operands_text, b',');
+            let text = &operands_text[..comma.unwrap_or(operands_text.len())];
+            let operand = self.operand(text, line)?;
+            if let Some(slot) = operands.get_mut(count) {
+                *slot = operand;
+            }
+            count += 1;
+            match comma {
+                Some(comma) => operands_text = &operands_text[comma + 1..],
+                None => break,
+            }
+        }
+        let gate = GateName::of(name)
+            .ok_or_else(|| QasmError::new(line, format!("unknown gate `{name}`")))?;
+        let arity = |want: usize| {
+            if count == want {
+                Ok(())
+            } else {
+                Err(QasmError::new(
+                    line,
+                    format!("`{name}` takes {want} operand(s), got {count}"),
+                ))
+            }
+        };
+        let no_params = || match params {
+            Some(_) => Err(QasmError::new(
                 line,
                 format!("`{name}` takes no parameters"),
-            ))
-        } else {
-            Ok(gates.into_iter().map(ParametricGate::Fixed).collect())
-        }
-    };
-    // Two-qubit gates take exactly one qubit per operand: whole-register
-    // broadcast is a single-qubit-gate convenience in this subset.
-    let two_distinct = || -> Result<(usize, usize), QasmError> {
-        arity(2)?;
-        let (a, b) = match (&operands[0], &operands[1]) {
-            (Operand::One(a), Operand::One(b)) => (*a, *b),
-            _ => {
+            )),
+            None => Ok(()),
+        };
+        // Two-qubit gates take exactly one qubit per operand: whole-register
+        // broadcast is a single-qubit-gate convenience in this subset.
+        let two_distinct = || {
+            arity(2)?;
+            let (Operand::One(a), Operand::One(b)) = (operands[0], operands[1]) else {
                 return Err(QasmError::new(
                     line,
                     format!(
                         "`{name}` does not support whole-register broadcast \
                          (single-qubit gates only)"
                     ),
-                ))
+                ));
+            };
+            if a == b {
+                return Err(QasmError::new(
+                    line,
+                    format!("`{name}` addresses the same qubit twice"),
+                ));
             }
-        };
-        if a == b {
-            Err(QasmError::new(
-                line,
-                format!("`{name}` addresses the same qubit twice"),
-            ))
-        } else {
+            no_params()?;
             Ok((a, b))
-        }
-    };
-    // Single-qubit gates broadcast: `h q;` applies `h` to every qubit of
-    // `q` in register order.
-    let fixed_1q = |kind: SingleQubitKind| -> Result<Vec<ParametricGate>, QasmError> {
-        arity(1)?;
-        no_params(
-            operands[0]
-                .qubits()
-                .map(|q| Gate::single(kind, q))
-                .collect(),
-        )
-    };
-    let rotation_1q = |axis: RotationAxis| -> Result<Vec<ParametricGate>, QasmError> {
-        arity(1)?;
-        let text = params
-            .ok_or_else(|| QasmError::new(line, format!("`{name}` needs an angle parameter")))?;
-        if let Some(param) = parse_formal_param(text) {
-            if !allow_params {
-                return Err(QasmError::new(
-                    line,
-                    format!(
-                        "formal parameter `{}` is only accepted by the \
-                         parametric parser",
-                        text.trim()
-                    ),
-                ));
+        };
+        // Single-qubit gates broadcast: `h q;` applies `h` to every qubit
+        // of `q` in register order.
+        let qubits = operands[0].qubits();
+        let fixed = ParametricGate::Fixed;
+        match gate {
+            GateName::Fixed(kind) => {
+                arity(1)?;
+                no_params()?;
+                self.append(qubits.map(|q| fixed(Gate::single(kind, q))), line)
             }
-            if param >= MAX_PARAM_ID {
-                return Err(QasmError::new(
-                    line,
-                    format!("parameter id {param} exceeds the limit of {MAX_PARAM_ID}"),
-                ));
+            GateName::Rotation(axis) => {
+                arity(1)?;
+                let text = params.ok_or_else(|| {
+                    QasmError::new(line, format!("`{name}` needs an angle parameter"))
+                })?;
+                let Some(param) = parse_formal_param(text) else {
+                    let kind = axis.kind(parse_angle(text, line)?);
+                    return self.append(qubits.map(|q| fixed(Gate::single(kind, q))), line);
+                };
+                if !self.allow_params {
+                    return Err(QasmError::new(
+                        line,
+                        format!(
+                            "formal parameter `{}` is only accepted by the \
+                             parametric parser",
+                            trim(text)
+                        ),
+                    ));
+                }
+                if param >= MAX_PARAM_ID {
+                    return Err(QasmError::new(
+                        line,
+                        format!("parameter id {param} exceeds the limit of {MAX_PARAM_ID}"),
+                    ));
+                }
+                // Rotations broadcast like every single-qubit gate;
+                // broadcast sites share the formal parameter (and thus the
+                // bound angle).
+                let sites = qubits.map(|qubit| ParametricGate::Rotation { axis, param, qubit });
+                self.append(sites, line)
             }
-            // Rotations broadcast like every single-qubit gate; broadcast
-            // sites share the formal parameter (and thus the bound angle).
-            return Ok(operands[0]
-                .qubits()
-                .map(|qubit| ParametricGate::Rotation { axis, param, qubit })
-                .collect());
+            GateName::Cx => {
+                let (c, t) = two_distinct()?;
+                self.append([fixed(Gate::cx(c, t))].into_iter(), line)
+            }
+            GateName::Cz => {
+                let (c, t) = two_distinct()?;
+                // CZ = (I⊗H)·CX·(I⊗H): lowered into the compiler's gate set.
+                let lowered = [Gate::h(t), Gate::cx(c, t), Gate::h(t)].map(fixed);
+                self.append(lowered.into_iter(), line)
+            }
+            GateName::Swap => {
+                let (a, b) = two_distinct()?;
+                self.append([fixed(Gate::swap(a, b))].into_iter(), line)
+            }
         }
-        let angle = parse_angle(text, line)?;
-        Ok(operands[0]
-            .qubits()
-            .map(|q| ParametricGate::Fixed(Gate::single(axis.kind(angle), q)))
-            .collect())
-    };
-    match name {
-        "x" => fixed_1q(SingleQubitKind::X),
-        "y" => fixed_1q(SingleQubitKind::Y),
-        "z" => fixed_1q(SingleQubitKind::Z),
-        "h" => fixed_1q(SingleQubitKind::H),
-        "s" => fixed_1q(SingleQubitKind::S),
-        "sdg" => fixed_1q(SingleQubitKind::Sdg),
-        "t" => fixed_1q(SingleQubitKind::T),
-        "tdg" => fixed_1q(SingleQubitKind::Tdg),
-        "rx" => rotation_1q(RotationAxis::Rx),
-        "ry" => rotation_1q(RotationAxis::Ry),
-        "rz" => rotation_1q(RotationAxis::Rz),
-        "cx" | "CX" => {
-            let (c, t) = two_distinct()?;
-            no_params(vec![Gate::cx(c, t)])
-        }
-        "cz" => {
-            let (c, t) = two_distinct()?;
-            // CZ = (I⊗H)·CX·(I⊗H): lowered into the compiler's gate set.
-            no_params(vec![Gate::h(t), Gate::cx(c, t), Gate::h(t)])
-        }
-        "swap" => {
-            let (a, b) = two_distinct()?;
-            no_params(vec![Gate::swap(a, b)])
-        }
-        _ => Err(QasmError::new(line, format!("unknown gate `{name}`"))),
     }
+
+    /// Resolves `name[index]` to a flattened qubit index, or a bare
+    /// declared register name to a broadcast over its qubits.
+    fn operand(&self, text: &str, line: usize) -> Result<Operand, QasmError> {
+        let text = trim(text);
+        let lookup = |name: &str| {
+            self.register(name)
+                .ok_or_else(|| QasmError::new(line, format!("undeclared register `{name}`")))
+        };
+        let Some(open) = find_byte(text, b'[') else {
+            if !is_identifier(text) {
+                return Err(QasmError::new(
+                    line,
+                    format!("expected `name[index]` or a register name, got `{text}`"),
+                ));
+            }
+            let reg = lookup(text)?;
+            return Ok(Operand::All {
+                offset: reg.offset,
+                size: reg.size,
+            });
+        };
+        let (name, idx) = split_indexed_at(text, open, line)?;
+        let reg = lookup(name)?;
+        if idx >= reg.size {
+            return Err(QasmError::new(
+                line,
+                format!("index {idx} out of range for `{name}[{}]`", reg.size),
+            ));
+        }
+        Ok(Operand::One(reg.offset + idx))
+    }
+
+    /// Appends one statement's gates once the gate cap admits them all.
+    ///
+    /// The gate-cap message is matched word for word by the wire service
+    /// (`parse_error_line` in `qompress-service`'s `server.rs`), which
+    /// answers it with a `circuit_gates` quota line; the hardening test
+    /// `broadcast_amplified_submit_hits_the_gate_cap_while_parsing` pins the
+    /// pair.
+    fn append(
+        &mut self,
+        gates: impl ExactSizeIterator<Item = ParametricGate>,
+        line: usize,
+    ) -> Result<(), QasmError> {
+        if self.gates.len().saturating_add(gates.len()) > self.max_gates {
+            return Err(QasmError::new(
+                line,
+                format!("program exceeds the limit of {} gates", self.max_gates),
+            ));
+        }
+        self.gates.extend(gates);
+        Ok(())
+    }
+}
+
+/// Splits a statement into its leading keyword and the remainder.
+fn split_keyword(text: &str) -> (&str, &str) {
+    // A byte scan: the first non-ASCII byte also ends the keyword, at a
+    // character boundary.
+    let end = text
+        .bytes()
+        .position(|b| !(b.is_ascii_alphanumeric() || b == b'_' || b == b'.'))
+        .unwrap_or(text.len());
+    (&text[..end], &text[end..])
+}
+
+/// Parses `name[size]` from a qreg/creg declaration.
+fn parse_declaration(rest: &str, line: usize) -> Result<(&str, usize), QasmError> {
+    let (name, idx) = split_indexed(trim(rest), line)?;
+    if name.is_empty() {
+        return Err(QasmError::new(line, "register declaration needs a name"));
+    }
+    if idx == 0 {
+        return Err(QasmError::new(line, "register size must be positive"));
+    }
+    Ok((name, idx))
+}
+
+/// Parses `name[index]` from already trimmed text, rejecting anything else.
+fn split_indexed(text: &str, line: usize) -> Result<(&str, usize), QasmError> {
+    let open = find_byte(text, b'[')
+        .ok_or_else(|| QasmError::new(line, format!("expected `name[index]`, got `{text}`")))?;
+    split_indexed_at(text, open, line)
+}
+
+/// [`split_indexed`] once its first `[` is known to sit at byte `open`.
+fn split_indexed_at(text: &str, open: usize, line: usize) -> Result<(&str, usize), QasmError> {
+    // The last `]` must end the text and come after the `[`.
+    let close = text.len() - 1;
+    if !(text.as_bytes()[close] == b']' && close > open) {
+        return Err(QasmError::new(
+            line,
+            format!("unbalanced brackets in `{text}`"),
+        ));
+    }
+    let name = trim(&text[..open]);
+    if !is_identifier(name) {
+        return Err(QasmError::new(line, format!("bad identifier `{name}`")));
+    }
+    let idx = parse_index(trim(&text[open + 1..close]))
+        .ok_or_else(|| QasmError::new(line, format!("bad index in `{text}`")))?;
+    Ok((name, idx))
+}
+
+/// Reads a decimal index exactly as `str::parse::<usize>` accepts it (an
+/// optional `+`, then at least one digit, without overflow), with a plain
+/// digit loop.
+fn parse_index(text: &str) -> Option<usize> {
+    let digits = text.strip_prefix('+').unwrap_or(text);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0usize, |n, b| {
+        let digit = b.is_ascii_digit().then(|| usize::from(b - b'0'))?;
+        n.checked_mul(10)?.checked_add(digit)
+    })
+}
+
+fn is_identifier(s: &str) -> bool {
+    // Bytewise: a non-ASCII character fails both tests at its first byte.
+    let mut bytes = s.bytes();
+    matches!(bytes.next(), Some(b) if b.is_ascii_lowercase() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
+/// `str::trim`, without decoding characters in the usual case: once the
+/// ASCII blanks are gone, both ends are visible ASCII characters, which
+/// `str::trim` would stop at too. Anything else goes to `str::trim`.
+fn trim(text: &str) -> &str {
+    let inner = text.trim_ascii();
+    match inner.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => inner,
+        [only] if only.is_ascii_graphic() => inner,
+        _ => text.trim(),
+    }
+}
+
+/// The offset of the first `byte` in `text`: a plain scan, which beats
+/// `str::find` on the few bytes of a token.
+fn find_byte(text: &str, byte: u8) -> Option<usize> {
+    text.bytes().position(|b| b == byte)
 }
 
 /// Recognizes a formal parameter spelling `theta<decimal id>`.
@@ -486,7 +786,7 @@ fn parse_gate(
 /// Anything else (including `theta` with no digits or with a sign) is not
 /// a formal parameter and falls through to concrete angle evaluation.
 fn parse_formal_param(text: &str) -> Option<ParamId> {
-    let digits = text.trim().strip_prefix("theta")?;
+    let digits = trim(text).strip_prefix("theta")?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -496,10 +796,10 @@ fn parse_formal_param(text: &str) -> Option<ParamId> {
 /// Evaluates an angle expression: `['-'] factor (('*'|'/') factor)*` where
 /// a factor is a float literal or `pi`.
 fn parse_angle(text: &str, line: usize) -> Result<f64, QasmError> {
-    let text = text.trim();
+    let text = trim(text);
     let bad = || QasmError::new(line, format!("bad angle expression `{text}`"));
     let (negated, body) = match text.strip_prefix('-') {
-        Some(b) => (true, b.trim()),
+        Some(b) => (true, trim(b)),
         None => (false, text),
     };
     if body.is_empty() {
@@ -509,8 +809,11 @@ fn parse_angle(text: &str, line: usize) -> Result<f64, QasmError> {
     let mut op = '*';
     let mut rest = body;
     loop {
-        let end = rest.find(['*', '/']).unwrap_or(rest.len());
-        let factor_text = rest[..end].trim();
+        let end = rest
+            .bytes()
+            .position(|b| b == b'*' || b == b'/')
+            .unwrap_or(rest.len());
+        let factor_text = trim(&rest[..end]);
         let factor = if factor_text == "pi" {
             std::f64::consts::PI
         } else {
@@ -526,7 +829,7 @@ fn parse_angle(text: &str, line: usize) -> Result<f64, QasmError> {
         }
         op = rest.as_bytes()[end] as char;
         rest = &rest[end + 1..];
-        if rest.trim().is_empty() {
+        if trim(rest).is_empty() {
             return Err(bad());
         }
     }
@@ -819,6 +1122,97 @@ mod tests {
         // Two huge registers must not overflow the running total.
         let huge = format!("{HEADER}qreg a[{0}];\nqreg b[{0}];\n", usize::MAX / 2 + 1);
         assert!(parse_qasm_bounded(&huge, usize::MAX).is_err());
+    }
+
+    #[test]
+    fn gate_cap_admits_a_program_exactly_at_the_cap() {
+        // 2 + 3 (cz lowers to three gates) + 4 (broadcast) = 9 gates.
+        let src = format!("{HEADER}qreg q[4];\nh q[0];\nx q[1];\ncz q[0], q[1];\nh q;\n");
+        let c: Circuit = parse_qasm_limited(&src, 4, Some(9)).unwrap();
+        assert_eq!(c.len(), 9);
+        assert_eq!(c, parse_qasm(&src).unwrap());
+        let s: ParametricCircuit = parse_qasm_limited(&src, 4, Some(9)).unwrap();
+        assert_eq!(s.len(), 9);
+    }
+
+    #[test]
+    fn gate_cap_fails_on_the_line_that_crosses_it() {
+        let src = format!("{HEADER}qreg q[4];\nh q[0];\nx q[1];\ncz q[0], q[1];\nh q;\n");
+        for (cap, line) in [(8, 7), (5, 7), (4, 6), (2, 6), (1, 5), (0, 4)] {
+            let err = parse_qasm_limited::<Circuit>(&src, 4, Some(cap)).unwrap_err();
+            assert_eq!(err.line, line, "cap {cap}");
+            assert_eq!(
+                err.message,
+                format!("program exceeds the limit of {cap} gates")
+            );
+            let err = parse_qasm_limited::<ParametricCircuit>(&src, 4, Some(cap)).unwrap_err();
+            assert_eq!(err.line, line, "parametric, cap {cap}");
+        }
+    }
+
+    #[test]
+    fn gate_cap_stops_broadcast_amplification() {
+        // 4 bytes of `h q;` per 256 gates: the cap, not the circuit's
+        // length after the fact, must stop the parse.
+        let mut src = format!("{HEADER}qreg q[256];\n");
+        for _ in 0..1000 {
+            src.push_str("h q;\n");
+        }
+        let err = parse_qasm_limited::<Circuit>(&src, 256, Some(100_000)).unwrap_err();
+        assert_eq!(
+            err.line,
+            3 + 100_000 / 256 + 1,
+            "the 391st broadcast crosses the cap"
+        );
+        // Semantic errors in the crossing statement still come first.
+        let bad = format!("{HEADER}qreg q[2];\nh q;\nh r;\n");
+        let err = parse_qasm_limited::<Circuit>(&bad, 2, Some(2)).unwrap_err();
+        assert!(
+            err.message.contains("undeclared register"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn unterminated_tail_outranks_the_gate_cap() {
+        let src = format!("{HEADER}qreg q[2];\nh q;\nh q[0]");
+        let err = parse_qasm_limited::<Circuit>(&src, 2, Some(1)).unwrap_err();
+        assert!(err.message.contains("not terminated"), "{}", err.message);
+        assert_eq!(err.line, 5);
+    }
+
+    #[test]
+    fn parse_index_accepts_what_usize_parse_accepts() {
+        let max = usize::MAX.to_string();
+        let over = format!("{max}0");
+        for text in [
+            "0", "7", "+7", "007", "+", "", "-0", "-1", "++1", "1+", " 1", "1 ", "1_0", "0x1", "١",
+            &max, &over,
+        ] {
+            assert_eq!(parse_index(text), text.parse::<usize>().ok(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn trim_matches_str_trim() {
+        for text in [
+            "",
+            " ",
+            "q",
+            " q",
+            "q ",
+            "\tq[0]\r",
+            "\u{a0}q",
+            "q\u{2003}",
+            " \u{b}q",
+            "\u{1}q ",
+            "a b",
+            " é ",
+            "\u{85}",
+        ] {
+            assert_eq!(trim(text), text.trim(), "{text:?}");
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub struct ServiceLimits {
     /// storage is sized. Default 256.
     pub max_circuit_qubits: usize,
     /// Largest gate count a submitted circuit (or sweep skeleton) may
-    /// carry after parsing. Default 100 000.
+    /// carry, counted after lowering and enforced inside the QASM parser:
+    /// the parse stops at the first statement that would cross it, so a
+    /// whole-register broadcast cannot build the gates first. Default
+    /// 100 000.
     pub max_circuit_gates: usize,
     /// Largest size a topology spec or upload may request. Default 4096
     /// (= [`crate::proto::DEFAULT_MAX_TOPOLOGY_NODES`]).

@@ -22,12 +22,16 @@
 //! ```
 //!
 //! Failures are responses with `"ok":false` and an `"error"` string; the
-//! connection stays usable. `result_fp` is the 64-bit FNV fingerprint of
-//! the full `Debug` rendering of the [`CompilationResult`] — two results
-//! share a fingerprint iff they are byte-identical — sent as a hex string
-//! because JSON numbers cannot carry 64 bits exactly.
+//! connection stays usable. `result_fp` is the 64-bit FNV-1a fingerprint
+//! of the [`CompilationResult`]'s canonical persist encoding
+//! ([`qompress::persist::encode_result`]) — two results share a
+//! fingerprint iff they are the same compilation — sent as a hex string
+//! because JSON numbers cannot carry 64 bits exactly. Fingerprints are
+//! comparable between builds that share the codec's format version
+//! ([`qompress::persist::CODEC_VERSION`]).
 
 use crate::json::{escape, Json};
+use qompress::persist::encode_result;
 use qompress::{CompilationResult, JobStatus, Strategy, ALL_STRATEGIES};
 use qompress_arch::{Fingerprinter, Topology};
 
@@ -364,13 +368,18 @@ pub fn parse_topology_spec_bounded(spec: &str, max_nodes: usize) -> Result<Topol
 }
 
 /// Stable 64-bit fingerprint of a full compilation result: the FNV-1a
-/// hash of its `Debug` rendering, which covers every observable field
-/// (schedule, metrics, placements, pairs, trace). Two results fingerprint
-/// equal iff their renderings are byte-identical — the wire protocol's
-/// proxy for "the streamed result is the same compilation".
+/// hash of its canonical persist encoding
+/// ([`qompress::persist::encode_result`]). The codec destructures every
+/// field exhaustively (schedule, metrics, placements, pairs, trace),
+/// writes floats by bit pattern, and decodes only canonical bytes, so two
+/// results fingerprint equal iff they are the same compilation — the
+/// wire protocol's proxy for "the streamed result is the same
+/// compilation". Unlike a `Debug` rendering, the encoding does not depend
+/// on the toolchain: fingerprints are comparable between builds that
+/// share the codec's format version ([`qompress::persist::CODEC_VERSION`]).
 pub fn result_fingerprint(result: &CompilationResult) -> u64 {
     let mut h = Fingerprinter::new();
-    h.write_str(&format!("{result:?}"));
+    h.write_bytes(&encode_result(result));
     h.finish()
 }
 

@@ -25,7 +25,8 @@ use crate::proto::{
 };
 use qompress::{BatchJob, Compiler, CompletionQueue, JobHandle, JobOutcome, JobStatus, ParamSweep};
 use qompress_arch::Topology;
-use qompress_qasm::{parse_parametric_qasm_bounded, parse_qasm_bounded};
+use qompress_circuit::{Circuit, ParametricCircuit};
+use qompress_qasm::{parse_qasm_limited, QasmError};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
@@ -44,10 +45,13 @@ const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 /// `Finished(status)` so the handle — and with it the job's retained
 /// `Arc<CompilationResult>` — is dropped. A long-lived connection
 /// streaming an unbounded sweep therefore holds O(outstanding) results,
-/// not O(submitted): `poll` keeps answering from the slim record.
+/// not O(submitted): `poll` keeps answering from the slim record. The
+/// live handle is boxed so that record stays slim: an entry costs 16
+/// bytes instead of the 48 of an inline handle, and a connection keeps
+/// one per submit.
 #[derive(Debug)]
 enum ConnJob {
-    Active(JobHandle),
+    Active(Box<JobHandle>),
     Finished(JobStatus),
 }
 
@@ -197,11 +201,10 @@ impl ConnState<'_> {
         parse_topology_spec_bounded(spec, self.limits.max_topology_nodes)
     }
 
-    /// Handles a `topology` upload: full validation (name shape, node
-    /// count against the limit, edge endpoints in range, no self-loops)
-    /// before `Topology::from_edges` — whose own checks are `assert!`s,
-    /// and an untrusted edge list must answer an error line, not panic
-    /// the connection thread.
+    /// Handles a `topology` upload: name shape and node count against the
+    /// limit, then [`Topology::try_from_edges`], whose typed error for a
+    /// self loop or out-of-range edge answers an error line instead of
+    /// panicking the connection thread.
     fn upload_topology(
         &mut self,
         name: String,
@@ -220,16 +223,12 @@ impl ConnState<'_> {
                 self.limits.max_topology_nodes
             ));
         }
-        for (i, &(a, b)) in edges.iter().enumerate() {
-            if a == b {
-                return error_line(&format!("edges[{i}] is a self-loop on node {a}"));
-            }
-            if a >= nodes || b >= nodes {
-                return error_line(&format!(
-                    "edges[{i}] = [{a},{b}] is out of range for {nodes} node(s)"
-                ));
-            }
-        }
+        // A self loop or out-of-range edge answers with its index; the
+        // error's text is the wire message.
+        let topology = match Topology::try_from_edges(name.clone(), nodes, edges) {
+            Ok(topology) => topology,
+            Err(err) => return error_line(&err.to_string()),
+        };
         // Replacing an existing name is free; only new names count
         // against the registry quota.
         if !self.topologies.contains_key(&name)
@@ -244,7 +243,6 @@ impl ConnState<'_> {
                 ),
             );
         }
-        let topology = Topology::from_edges(name.clone(), nodes, edges);
         let response = format!(
             "{{\"ok\":true,\"op\":\"topology\",\"name\":\"{}\",\"nodes\":{nodes},\
              \"edges\":{}}}",
@@ -385,7 +383,7 @@ fn pump_loop(
 ) {
     while let Some(id) = completions.pop() {
         let handle = match handles.lock().expect("service handles poisoned").get(&id.0) {
-            Some(ConnJob::Active(handle)) => handle.clone(),
+            Some(ConnJob::Active(handle)) => JobHandle::clone(handle),
             _ => continue,
         };
         let Some(outcome) = handle.poll() else {
@@ -463,21 +461,14 @@ fn handle_line(
                 Ok(t) => t,
                 Err(message) => return error_line(&message),
             };
-            let circuit = match parse_qasm_bounded(&qasm, conn.limits.max_circuit_qubits) {
+            let circuit: Circuit = match parse_qasm_limited(
+                &qasm,
+                conn.limits.max_circuit_qubits,
+                Some(conn.limits.max_circuit_gates),
+            ) {
                 Ok(c) => c,
-                Err(err) => return error_line(&format!("{err}")),
+                Err(err) => return parse_error_line(&err, conn.limits.max_circuit_gates),
             };
-            if circuit.len() > conn.limits.max_circuit_gates {
-                return quota_line(
-                    "circuit_gates",
-                    conn.limits.max_circuit_gates as u64,
-                    &format!(
-                        "circuit has {} gates, exceeding the limit of {}",
-                        circuit.len(),
-                        conn.limits.max_circuit_gates
-                    ),
-                );
-            }
             // Hold the handles lock across submit + insert: a fast job
             // (e.g. a cache hit) can reach the completion queue before
             // this thread runs again, and the pump must find the handle
@@ -490,7 +481,7 @@ fn handle_line(
             );
             let id = handle.id().0;
             let status = handle.status();
-            map.insert(id, ConnJob::Active(handle));
+            map.insert(id, ConnJob::Active(Box::new(handle)));
             conn.note_submitted(1);
             format!(
                 "{{\"ok\":true,\"op\":\"submit\",\"job\":{id},\"status\":\"{}\"}}",
@@ -525,22 +516,14 @@ fn handle_line(
                 Ok(t) => t,
                 Err(message) => return error_line(&message),
             };
-            let skeleton =
-                match parse_parametric_qasm_bounded(&qasm, conn.limits.max_circuit_qubits) {
-                    Ok(s) => s,
-                    Err(err) => return error_line(&format!("{err}")),
-                };
-            if skeleton.len() > conn.limits.max_circuit_gates {
-                return quota_line(
-                    "circuit_gates",
-                    conn.limits.max_circuit_gates as u64,
-                    &format!(
-                        "skeleton has {} gates, exceeding the limit of {}",
-                        skeleton.len(),
-                        conn.limits.max_circuit_gates
-                    ),
-                );
-            }
+            let skeleton: ParametricCircuit = match parse_qasm_limited(
+                &qasm,
+                conn.limits.max_circuit_qubits,
+                Some(conn.limits.max_circuit_gates),
+            ) {
+                Ok(s) => s,
+                Err(err) => return parse_error_line(&err, conn.limits.max_circuit_gates),
+            };
             // Arity is validated before anything is enqueued, so a sweep
             // is accepted or rejected atomically (angles are already
             // known finite from request parsing).
@@ -564,7 +547,7 @@ fn handle_line(
                     let job = sweep.job(format!("{label}#{i}"), strategy, topology.clone(), angles);
                     let handle = conn.session.submit_watched(job, completions);
                     let id = handle.id().0;
-                    map.insert(id, ConnJob::Active(handle));
+                    map.insert(id, ConnJob::Active(Box::new(handle)));
                     id
                 })
                 .collect();
@@ -588,7 +571,7 @@ fn handle_line(
         }
         Request::Cancel { job } => {
             let handle = match handles.lock().expect("service handles poisoned").get(&job) {
-                Some(ConnJob::Active(handle)) => Some(handle.clone()),
+                Some(ConnJob::Active(handle)) => Some(JobHandle::clone(handle)),
                 // Already terminal and pruned: nothing left to cancel.
                 Some(ConnJob::Finished(_)) => None,
                 None => return error_line(&format!("unknown job {job}")),
@@ -637,6 +620,26 @@ fn handle_line(
 
 fn error_line(message: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(message))
+}
+
+/// Answers a submitted program the parser rejected. The parser stops at
+/// the first statement that would take the program past `max_gates`
+/// with a fixed message ([`parse_qasm_limited`] documents it); that one
+/// answers the `circuit_gates` quota line, every other error a plain
+/// error line.
+///
+/// The message is matched word for word, so it is a contract with the
+/// parser's gate-cap check (`Builder::append` in `qompress-qasm`'s
+/// `parse.rs`). The hardening test
+/// `broadcast_amplified_submit_hits_the_gate_cap_while_parsing` pins the
+/// pair: a rewording on either side turns the quota line into a plain
+/// error line and fails it.
+fn parse_error_line(err: &QasmError, max_gates: usize) -> String {
+    if err.message == format!("program exceeds the limit of {max_gates} gates") {
+        quota_line("circuit_gates", max_gates as u64, &err.to_string())
+    } else {
+        error_line(&err.to_string())
+    }
 }
 
 /// A structured quota rejection: `kind` names the exhausted limit so

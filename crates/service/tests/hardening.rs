@@ -343,6 +343,43 @@ fn sweep_binding_and_gate_count_limits_bite() {
 }
 
 #[test]
+fn broadcast_amplified_submit_hits_the_gate_cap_while_parsing() {
+    // `h q;` asks for 256 gates in 4 bytes. The default 100 000-gate cap
+    // must stop the parse at the crossing statement (the 391st broadcast)
+    // instead of building all 512 000 gates and counting afterwards.
+    let session = Arc::new(Compiler::builder().workers(1).build());
+    let (mut client, server) = connect(Arc::clone(&session));
+    let mut amplified = String::from("OPENQASM 2.0;\nqreg q[256];\n");
+    for _ in 0..2000 {
+        amplified.push_str("h q;\n");
+    }
+    let err = client
+        .submit("amplified", Strategy::Eqm, "grid:256", &amplified)
+        .unwrap_err();
+    let ServiceError::Quota {
+        kind,
+        limit,
+        message,
+    } = &err
+    else {
+        panic!("expected a quota rejection, got {err}");
+    };
+    assert_eq!((kind.as_str(), *limit), ("circuit_gates", 100_000));
+    assert!(message.contains("line 393"), "{message}");
+
+    // The same connection still compiles a valid program.
+    let id = client
+        .submit("legit", Strategy::Eqm, "grid:2", SMALL_QASM)
+        .unwrap();
+    assert!(matches!(
+        client.next_event().unwrap(),
+        ServiceEvent::Done { job, .. } if job == id
+    ));
+    drop(client);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
 fn topology_uploads_are_validated_and_usable() {
     let session = Arc::new(Compiler::builder().workers(1).build());
     let limits = ServiceLimits {

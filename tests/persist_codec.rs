@@ -1,12 +1,15 @@
 //! Codec correctness for the persistent cache tier: round trips over
 //! random compilation results, plus corruption fuzz — byte flips,
 //! truncations and version bumps must all decode to a clean miss, never
-//! a panic.
+//! a panic. The wire's `result_fp` hashes this encoding, so it is pinned
+//! here too: stable across the round trip, moved by any one field.
 
 use proptest::prelude::*;
 use qompress::persist::{decode_result, encode_result, CODEC_VERSION};
 use qompress::{CompilationResult, Compiler, Strategy};
 use qompress_arch::Topology;
+use qompress_circuit::{Circuit, Gate};
+use qompress_service::result_fingerprint;
 use qompress_store::{decode_envelope, encode_envelope};
 use qompress_workloads::random_circuit;
 
@@ -80,6 +83,31 @@ proptest! {
         let decoded = decode_result(&encoded).expect("round trip must decode");
         prop_assert_eq!(render(&result), render(&decoded));
         prop_assert_eq!(encode_result(&decoded), encoded);
+    }
+
+    /// `result_fp` is FNV-1a of the canonical encoding: the round trip
+    /// keeps it, and changing one field — the strategy label or one
+    /// placement — changes it.
+    #[test]
+    fn result_fingerprint_follows_the_encoding(
+        n in 3usize..6,
+        gates in 6usize..24,
+        seed in 0u64..1000,
+        strategy_idx in 0usize..5,
+        topo_idx in 0usize..3,
+    ) {
+        let result = sample(n, gates, seed, strategy_idx, topo_idx);
+        let fp = result_fingerprint(&result);
+        let decoded = decode_result(&encode_result(&result)).expect("round trip must decode");
+        prop_assert_eq!(result_fingerprint(&decoded), fp);
+
+        let mut relabeled = result.clone();
+        relabeled.strategy.push('*');
+        prop_assert_ne!(result_fingerprint(&relabeled), fp);
+
+        let mut moved = result.clone();
+        moved.initial_placements[0].1 ^= 1;
+        prop_assert_ne!(result_fingerprint(&moved), fp);
     }
 
     /// Single-byte corruption anywhere in the payload must never panic:
@@ -181,4 +209,35 @@ fn distinct_results_encode_distinctly() {
         encode_result(&b),
         "different compilations must not share an encoding"
     );
+}
+
+#[test]
+fn result_fingerprint_sees_a_one_ulp_angle_change() {
+    // Two circuits that differ only in one rotation angle, by one ulp:
+    // the angle reaches the schedule, and the fingerprint must see it.
+    let circuit = |angle: f64| {
+        let mut c = Circuit::new(3);
+        c.push(Gate::h(0));
+        c.push(Gate::rz(angle, 1));
+        c.push(Gate::cx(0, 1));
+        c.push(Gate::cx(1, 2));
+        c
+    };
+    let session = Compiler::builder().caching(false).build();
+    let topology = Topology::grid(4);
+    for i in 0..5 {
+        let strategy = strategy_from_index(i);
+        let a = session.compile(&circuit(0.5), &topology, strategy);
+        let b = session.compile(&circuit(0.5f64.next_up()), &topology, strategy);
+        assert_ne!(
+            render(&a),
+            render(&b),
+            "{strategy:?}: the angle reached the result"
+        );
+        assert_ne!(
+            result_fingerprint(&a),
+            result_fingerprint(&b),
+            "{strategy:?}: one ulp must move the fingerprint"
+        );
+    }
 }
