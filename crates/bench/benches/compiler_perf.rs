@@ -177,9 +177,8 @@ fn bench_result_cache(c: &mut Criterion) {
 /// circuits over line/grid/ring, plus a one-round exhaustive search
 /// through a session. This is the hot loop the incremental router
 /// targets: lookahead via the pending-gate list instead of an O(gates)
-/// rescan, scratch-buffer scoring, and memoized fallback paths. The
-/// `routing_perf` example emits the same shape as JSON for the CI bench
-/// trajectory.
+/// rescan, scratch-buffer scoring, and memoized fallback paths.
+/// `tests/routing_determinism.rs` pins the routes these time.
 fn bench_routing_perf(c: &mut Criterion) {
     let config = CompilerConfig::paper();
     let session = Compiler::builder().config(config.clone()).build();

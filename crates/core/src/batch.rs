@@ -156,27 +156,6 @@ impl TryBatchResult {
     }
 }
 
-impl BatchResult {
-    /// Total logical gates compiled across the batch.
-    pub fn total_logical_gates(&self) -> usize {
-        self.results.iter().map(|r| r.result.logical_gates).sum()
-    }
-
-    /// Jobs per second over the compilation phase.
-    ///
-    /// Returns `0.0` for an empty batch or a sub-tick (zero-duration)
-    /// compilation phase — explicitly guarded so callers never see the
-    /// `inf`/`NaN` artifacts of float division.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if self.results.is_empty() || secs <= 0.0 {
-            0.0
-        } else {
-            self.results.len() as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,27 +238,7 @@ mod tests {
         let out = run(&[], 4);
         assert!(out.results.is_empty());
         assert_eq!(out.distinct_topologies, 0);
-        assert_eq!(out.total_logical_gates(), 0);
         assert_eq!(out.cache, CacheStats::default());
-    }
-
-    #[test]
-    fn throughput_guards_degenerate_batches() {
-        // Empty batch: no jobs, elapsed effectively zero.
-        let empty = run(&[], 1);
-        assert_eq!(empty.throughput(), 0.0);
-
-        // Zero-duration phase with results present (constructed directly:
-        // a coarse clock can legitimately report 0 ns for a tiny batch).
-        let mut out = run(&small_jobs(), 1);
-        out.elapsed = Duration::ZERO;
-        assert_eq!(out.throughput(), 0.0);
-
-        // Sanity: a real duration yields a finite positive rate.
-        out.elapsed = Duration::from_millis(500);
-        let rate = out.throughput();
-        assert!(rate.is_finite() && rate > 0.0);
-        assert!((rate - out.results.len() as f64 / 0.5).abs() < 1e-9);
     }
 
     #[test]

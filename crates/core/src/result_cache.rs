@@ -57,9 +57,8 @@ impl CacheStats {
 
     /// The stats as a JSON object string —
     /// `{"hits": …, "misses": …, "evictions": …, "hit_rate": …}` — the
-    /// one snapshot shape shared by the examples' report files and the
-    /// `qompress-service` stats response. Lives here so a new counter
-    /// field is added to every emitter in one place.
+    /// shape the `qompress-service` stats response embeds. Lives here so
+    /// a new counter field reaches the wire in one place.
     pub fn to_json(&self) -> String {
         // Exhaustive destructuring: a new field fails to compile here
         // until the JSON shape covers it.
@@ -72,21 +71,6 @@ impl CacheStats {
             "{{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \
              \"hit_rate\": {:.6}}}",
             self.hit_rate()
-        )
-    }
-}
-
-impl std::fmt::Display for CacheStats {
-    /// Renders the counters plus the derived hit rate, e.g.
-    /// `3 hits / 1 misses / 0 evictions (75.0% hit rate)`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} hits / {} misses / {} evictions ({:.1}% hit rate)",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.hit_rate() * 100.0
         )
     }
 }
@@ -148,8 +132,8 @@ impl TieredCacheStats {
         }
     }
 
-    /// The stats as a JSON object string, the shape shared by the
-    /// examples' report files and the `qompress-service` stats response.
+    /// The stats as a JSON object string, the shape the
+    /// `qompress-service` stats response embeds.
     pub fn to_json(&self) -> String {
         // Exhaustive destructuring: a new field fails to compile here
         // until the JSON shape covers it.
@@ -179,21 +163,6 @@ impl TieredCacheStats {
              \"breaker_state\": \"{}\", \"hit_rate\": {:.6}}}",
             breaker_state.name(),
             self.hit_rate()
-        )
-    }
-}
-
-impl std::fmt::Display for TieredCacheStats {
-    /// Renders the per-tier counters plus the derived hit rate, e.g.
-    /// `2 memory hits / 1 disk hits / 1 misses (75.0% hit rate)`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} memory hits / {} disk hits / {} misses ({:.1}% hit rate)",
-            self.memory_hits,
-            self.disk_hits,
-            self.misses,
-            self.hit_rate() * 100.0
         )
     }
 }
@@ -508,14 +477,6 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evictions, 1);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(
-            format!("{stats}"),
-            "3 hits / 2 misses / 1 evictions (60.0% hit rate)"
-        );
-        assert_eq!(
-            format!("{}", CacheStats::default()),
-            "0 hits / 0 misses / 0 evictions (0.0% hit rate)"
-        );
         assert_eq!(
             stats.to_json(),
             "{\"hits\": 3, \"misses\": 2, \"evictions\": 1, \"hit_rate\": 0.600000}"

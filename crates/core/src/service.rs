@@ -21,7 +21,6 @@ use crate::jobs::{CompletionQueue, JobHandle, JobId, JobState, JobStatus};
 use crate::pipeline::TopologyCache;
 use crate::session::SessionState;
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -45,16 +44,6 @@ pub struct ServiceMetrics {
     pub cancelled: u64,
     /// Jobs whose compilation panicked.
     pub failed: u64,
-}
-
-impl fmt::Display for ServiceMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} submitted: {} queued / {} running / {} completed / {} cancelled / {} failed",
-            self.submitted, self.queued, self.running, self.completed, self.cancelled, self.failed
-        )
-    }
 }
 
 /// One queued unit of work.
@@ -413,9 +402,6 @@ mod tests {
             m.queued + m.running + m.completed + m.cancelled + m.failed,
             m.submitted
         );
-        let text = format!("{m}");
-        assert!(text.contains("2 submitted"), "{text}");
-        assert!(text.contains("1 cancelled"), "{text}");
     }
 
     #[test]

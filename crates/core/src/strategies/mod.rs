@@ -64,6 +64,22 @@ impl Strategy {
             Strategy::FullQuquart => "fq",
         }
     }
+
+    /// The most qubits this strategy can place on a device of `units`
+    /// units; a wider circuit panics in mapping, so untrusted input is
+    /// checked against this first. Qubit-only, FQ, PP and EC place one
+    /// qubit per unit; EQM, RB and AWE may pack two. For RB and AWE the
+    /// bound is loose: above `units` they succeed or panic depending on
+    /// the pairs they find.
+    pub fn max_qubits(self, units: usize) -> usize {
+        match self {
+            Strategy::Eqm | Strategy::RingBased | Strategy::Awe => 2 * units,
+            Strategy::QubitOnly
+            | Strategy::ProgressivePairing
+            | Strategy::Exhaustive { .. }
+            | Strategy::FullQuquart => units,
+        }
+    }
 }
 
 impl std::fmt::Display for Strategy {
@@ -199,6 +215,45 @@ mod tests {
             let b = session.compile(&c, &topo, strategy);
             assert_eq!(a.metrics.total_eps, b.metrics.total_eps, "{strategy}");
             assert_eq!(a.schedule.len(), b.schedule.len(), "{strategy}");
+        }
+    }
+
+    #[test]
+    fn max_qubits_matches_what_mapping_can_place() {
+        // A ring of CX gates over `n` qubits, compiled on a fresh device
+        // cache so one panicking compile cannot poison the next.
+        let config = CompilerConfig::paper();
+        let fits = |n: usize, units: usize, strategy: Strategy| {
+            let mut c = Circuit::new(n);
+            for q in 0..n {
+                c.push(Gate::cx(q, (q + 1) % n));
+            }
+            let device = TopologyCache::new(Topology::grid(units), &config);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                compile_cached(&c, &device, strategy, &config)
+            }))
+            .is_ok()
+        };
+        let ec_unordered = Strategy::Exhaustive { ordered: false };
+        for units in [4, 9] {
+            for strategy in ALL_STRATEGIES.into_iter().chain([ec_unordered]) {
+                let max = strategy.max_qubits(units);
+                let packs = matches!(
+                    strategy,
+                    Strategy::Eqm | Strategy::RingBased | Strategy::Awe
+                );
+                assert_eq!(max, if packs { 2 * units } else { units }, "{strategy}");
+                assert!(!fits(max + 1, units, strategy), "{strategy}: {units} units");
+                // RB and AWE reach 2 * units only when their pairs allow.
+                let always_fits = match strategy {
+                    Strategy::RingBased | Strategy::Awe => units,
+                    _ => max,
+                };
+                assert!(
+                    fits(always_fits, units, strategy),
+                    "{strategy}: {units} units"
+                );
+            }
         }
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! * **TCP** — [`serve_tcp`] over a caller-bound `TcpListener`;
 //! * **Unix socket** — [`serve_unix`] (unix only);
-//! * **in-memory loopback** — [`loopback`], for tests and the CI smoke
-//!   example (`examples/service_sweep.rs` at the workspace root), which
-//!   exercise the full protocol with no kernel sockets at all.
+//! * **in-memory loopback** — [`loopback`], for the tests under
+//!   `crates/service/tests/`, which exercise the full protocol with no
+//!   kernel sockets at all.
 //!
 //! [`ServiceClient`] is a blocking client over any of the three.
 //!
@@ -29,7 +29,8 @@
 //! are structured, machine-readable response lines — the connection
 //! stays usable:
 //!
-//! * shape/parse violations → `{"ok":false,"error":"…"}`;
+//! * shape/parse violations, and programs wider than the strategy can
+//!   place on the device, → `{"ok":false,"error":"…"}`;
 //! * quota violations → `{"ok":false,"error":"…","quota":"<kind>",
 //!   "limit":N}` ([`ServiceError::Quota`] client-side);
 //! * a submit against a full queue → `{"ok":false,"error":"…",

@@ -3,8 +3,8 @@
 //! [`loopback`] returns two connected ends; bytes written to one end are
 //! read from the other, with blocking reads and EOF on writer drop —
 //! exactly the semantics the server expects from a TCP or Unix-socket
-//! stream, minus the kernel. Tests and the CI smoke example run the full
-//! wire protocol over this.
+//! stream, minus the kernel. The wire tests run the full protocol over
+//! this.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

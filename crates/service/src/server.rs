@@ -23,7 +23,9 @@ use crate::limits::ServiceLimits;
 use crate::proto::{
     parse_topology_spec_bounded, result_fingerprint, Request, ServiceEvent, WireMetrics,
 };
-use qompress::{BatchJob, Compiler, CompletionQueue, JobHandle, JobOutcome, JobStatus, ParamSweep};
+use qompress::{
+    BatchJob, Compiler, CompletionQueue, JobHandle, JobOutcome, JobStatus, ParamSweep, Strategy,
+};
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, ParametricCircuit};
 use qompress_qasm::{parse_qasm_limited, QasmError};
@@ -469,6 +471,9 @@ fn handle_line(
                 Ok(c) => c,
                 Err(err) => return parse_error_line(&err, conn.limits.max_circuit_gates),
             };
+            if let Some(response) = capacity_error(strategy, &topology, circuit.n_qubits()) {
+                return response;
+            }
             // Hold the handles lock across submit + insert: a fast job
             // (e.g. a cache hit) can reach the completion queue before
             // this thread runs again, and the pump must find the handle
@@ -524,6 +529,9 @@ fn handle_line(
                 Ok(s) => s,
                 Err(err) => return parse_error_line(&err, conn.limits.max_circuit_gates),
             };
+            if let Some(response) = capacity_error(strategy, &topology, skeleton.n_qubits()) {
+                return response;
+            }
             // Arity is validated before anything is enqueued, so a sweep
             // is accepted or rejected atomically (angles are already
             // known finite from request parsing).
@@ -640,6 +648,18 @@ fn parse_error_line(err: &QasmError, max_gates: usize) -> String {
     } else {
         error_line(&err.to_string())
     }
+}
+
+/// Rejects a program wider than `strategy` can place on `topology`
+/// ([`Strategy::max_qubits`]): mapping would panic the worker.
+fn capacity_error(strategy: Strategy, topology: &Topology, n_qubits: usize) -> Option<String> {
+    let max = strategy.max_qubits(topology.n_nodes());
+    (n_qubits > max).then(|| {
+        error_line(&format!(
+            "program has {n_qubits} qubits but {strategy} places at most {max} on `{}`",
+            topology.name()
+        ))
+    })
 }
 
 /// A structured quota rejection: `kind` names the exhausted limit so

@@ -6,10 +6,12 @@
 //! neighbour.
 
 use qompress::{Compiler, Strategy};
+use qompress_qasm::to_qasm;
 use qompress_service::{
     loopback, serve_duplex, serve_duplex_with_limits, ServiceClient, ServiceError, ServiceEvent,
     ServiceLimits,
 };
+use qompress_workloads::{build, Benchmark};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,6 +100,163 @@ fn billion_qubit_qreg_is_rejected_before_allocation() {
     ));
     drop(client);
     server.join().unwrap().unwrap();
+}
+
+/// A CX ring over `n` qubits, as QASM.
+fn ring_qasm(n: usize) -> String {
+    let mut qasm = format!("OPENQASM 2.0;\nqreg q[{n}];\n");
+    for q in 0..n {
+        qasm.push_str(&format!("cx q[{q}], q[{}];\n", (q + 1) % n));
+    }
+    qasm
+}
+
+#[test]
+fn programs_wider_than_the_strategy_can_place_are_rejected_at_admission() {
+    let session = Arc::new(Compiler::builder().workers(1).build());
+    let (mut client, server) = connect(Arc::clone(&session));
+
+    // EQM packs at most two qubits per unit, qubit-only one: both of
+    // these would panic the worker in mapping if they were enqueued.
+    for (strategy, n, max) in [(Strategy::Eqm, 20, 8), (Strategy::QubitOnly, 5, 4)] {
+        let err = client
+            .submit("too-wide", strategy, "grid:4", &ring_qasm(n))
+            .unwrap_err();
+        let ServiceError::Remote(message) = &err else {
+            panic!("{strategy}: expected an error line, got {err}");
+        };
+        assert!(
+            message.contains(&format!("places at most {max}")),
+            "{message}"
+        );
+    }
+    // A sweep is checked the same way, before any binding is enqueued.
+    let wide_skeleton = format!("{}rz(theta0) q[0];\n", ring_qasm(9));
+    let err = client
+        .submit_sweep(
+            "too-wide",
+            Strategy::Eqm,
+            "grid:4",
+            &wide_skeleton,
+            &[vec![0.1]],
+        )
+        .unwrap_err();
+    assert!(matches!(err, ServiceError::Remote(_)), "{err}");
+    assert_eq!(client.stats().unwrap().service.submitted, 0);
+
+    // At the bound the program is admitted and compiles.
+    let id = client
+        .submit("fits", Strategy::Eqm, "grid:4", &ring_qasm(8))
+        .unwrap();
+    assert!(matches!(
+        client.next_event().unwrap(),
+        ServiceEvent::Done { job, .. } if job == id
+    ));
+    assert_eq!(client.stats().unwrap().service.submitted, 1);
+
+    drop(client);
+    server.join().unwrap().unwrap();
+}
+
+/// One client's scripted conversation under concurrent load: legitimate
+/// submits, a cancel race, a sweep within the binding quota, and two
+/// hostile requests that must be rejected structurally. Every accepted
+/// job must reach a terminal event.
+fn load_client(c: u64, session: Arc<Compiler>, limits: ServiceLimits) {
+    let (mut client, server) = connect_with_limits(session, limits);
+    let strategies = [Strategy::Eqm, Strategy::QubitOnly, Strategy::RingBased];
+    let mut ids = Vec::new();
+    for i in 0..6u64 {
+        let qasm = to_qasm(&build(Benchmark::Bv, 5, c * 6 + i));
+        let strategy = strategies[i as usize % strategies.len()];
+        let id = client
+            .submit(&format!("c{c}-j{i}"), strategy, "grid:5", &qasm)
+            .unwrap();
+        client.poll(id).unwrap();
+        ids.push(id);
+    }
+
+    // A cancel race on the last submit: either answer is legal (the job
+    // may already be running or done), but it must be well-formed, and a
+    // successful cancel must stream a `cancelled` event.
+    let cancelled = client.cancel(*ids.last().unwrap()).unwrap();
+
+    let skeleton = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\nrz(theta0) q[0];\n\
+                    cx q[0], q[1];\nrx(theta1) q[1];\ncx q[1], q[2];\n";
+    let bindings: Vec<Vec<f64>> = (0..3)
+        .map(|i| vec![0.1 + i as f64, 1.0 - 0.2 * i as f64])
+        .collect();
+    ids.extend(
+        client
+            .submit_sweep(
+                &format!("c{c}-sweep"),
+                Strategy::Eqm,
+                "grid:3",
+                skeleton,
+                &bindings,
+            )
+            .unwrap(),
+    );
+
+    let wide: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 0.0]).collect();
+    let err = client
+        .submit_sweep(
+            &format!("c{c}-wide"),
+            Strategy::Eqm,
+            "grid:3",
+            skeleton,
+            &wide,
+        )
+        .unwrap_err();
+    let ServiceError::Quota { kind, limit, .. } = &err else {
+        panic!("client {c}: expected a quota rejection, got {err}");
+    };
+    assert_eq!((kind.as_str(), *limit), ("sweep_bindings", 4));
+    let bomb = "OPENQASM 2.0;\nqreg q[1000000000];\nh q[0];\n";
+    let err = client
+        .submit(&format!("c{c}-bomb"), Strategy::Eqm, "grid:3", bomb)
+        .unwrap_err();
+    assert!(matches!(err, ServiceError::Remote(_)), "client {c}: {err}");
+
+    let (mut done, mut cancel_events) = (0, 0);
+    while done + cancel_events < ids.len() {
+        match client.next_event().unwrap() {
+            ServiceEvent::Done { .. } => done += 1,
+            ServiceEvent::Cancelled { .. } => cancel_events += 1,
+            other => panic!("client {c}: job failed under load: {other:?}"),
+        }
+    }
+    assert_eq!(cancel_events, usize::from(cancelled), "client {c}");
+    for id in ids {
+        let status = client.poll(id).unwrap();
+        assert!(status == "done" || status == "cancelled", "{status}");
+    }
+    drop(client);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn concurrent_clients_under_load_lose_no_job_and_get_structured_rejections() {
+    let session = Arc::new(Compiler::builder().workers(2).build());
+    let limits = ServiceLimits {
+        max_sweep_bindings: 4,
+        ..ServiceLimits::default()
+    };
+    let clients: Vec<_> = (0..4)
+        .map(|c| {
+            let (session, limits) = (Arc::clone(&session), limits.clone());
+            std::thread::spawn(move || load_client(c, session, limits))
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    // 4 clients x (6 submits + a 3-binding sweep); no rejected request
+    // was enqueued.
+    let m = session.service_metrics();
+    assert_eq!(m.submitted, 4 * 9);
+    assert_eq!(m.completed + m.cancelled, m.submitted);
+    assert_eq!(m.failed, 0);
 }
 
 #[test]

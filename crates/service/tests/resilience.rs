@@ -3,17 +3,23 @@
 //! reconnect hook (safe to resubmit — results are content-addressed), a
 //! draining server rejects new submits structurally while still
 //! streaming in-flight completions (over the loopback, TCP and Unix
-//! transports), and the backoff schedule itself is deterministic.
+//! transports), the backoff schedule itself is deterministic, and all of
+//! it together with a flaky disk and a tripping breaker loses no job.
 
-use qompress::{Compiler, Strategy};
+use qompress::{BreakerState, Compiler, FaultKind, FaultOp, FaultPlan, Strategy};
+use qompress_qasm::{parse_qasm, to_qasm};
 #[cfg(unix)]
 use qompress_service::serve_unix_draining;
 use qompress_service::{
-    loopback, serve_duplex_draining, serve_duplex_with_limits, serve_tcp_draining, DrainHandle,
-    RetryPolicy, ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
+    loopback, parse_topology_spec, result_fingerprint, serve_duplex_draining,
+    serve_duplex_with_limits, serve_tcp_draining, DrainHandle, RetryPolicy, ServiceClient,
+    ServiceError, ServiceEvent, ServiceLimits,
 };
+use qompress_workloads::random_circuit;
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,6 +114,152 @@ fn busy_submits_retry_until_the_queue_drains() {
         ));
     }
     unpause.join().expect("unpause thread");
+    drop(client);
+    server.join().expect("server thread").expect("server exit");
+}
+
+/// One wire job: label, strategy, topology spec, QASM text.
+type WireJob = (String, Strategy, String, String);
+
+/// Submits every job (retrying under the client's policy) and returns
+/// label → result fingerprint once every completion has streamed back.
+/// Any event but `done` is a lost job.
+fn run_sweep(client: &mut LoopClient, jobs: &[WireJob]) -> HashMap<String, u64> {
+    let mut pending = HashMap::new();
+    for (label, strategy, spec, qasm) in jobs {
+        let id = client
+            .submit(label, *strategy, spec, qasm)
+            .unwrap_or_else(|err| panic!("submit {label}: {err}"));
+        pending.insert(id, label.clone());
+    }
+    let mut fingerprints = HashMap::new();
+    while !pending.is_empty() {
+        match client.next_event().expect("completion event") {
+            ServiceEvent::Done {
+                job,
+                label,
+                result_fp,
+                ..
+            } => {
+                assert_eq!(pending.remove(&job), Some(label.clone()));
+                fingerprints.insert(label, result_fp);
+            }
+            other => panic!("job lost to chaos: {other:?}"),
+        }
+    }
+    fingerprints
+}
+
+#[test]
+fn chaos_over_the_wire_loses_no_job_and_the_breaker_recovers() {
+    // Every 3rd disk write-back fails with ENOSPC, a one-failure breaker
+    // with a 100 ms cooldown guards the disk, a 4-deep queue behind a
+    // paused pool forces `busy`, and a retrying client rides over it all.
+    const COOLDOWN: Duration = Duration::from_millis(100);
+    let strategies = [
+        Strategy::QubitOnly,
+        Strategy::Eqm,
+        Strategy::RingBased,
+        Strategy::Awe,
+        Strategy::ProgressivePairing,
+    ];
+    let jobs: Vec<WireJob> = (0..=24)
+        .map(|i| {
+            let n = 4 + i % 4;
+            let spec = match i % 3 {
+                0 => format!("grid:{n}"),
+                1 => format!("line:{n}"),
+                _ => format!("ring:{n}"),
+            };
+            let qasm = to_qasm(&random_circuit(n, 20 + 3 * i, i as u64));
+            (format!("job-{i}"), strategies[i % 5], spec, qasm)
+        })
+        .collect();
+    // The last job rides along as the post-heal recovery probe.
+    let (sweep, probe) = jobs.split_at(24);
+
+    // The clean run: the same programs compiled in-process, no faults.
+    let reference = Compiler::builder().caching(false).build();
+    let clean: HashMap<String, u64> = jobs
+        .iter()
+        .map(|(label, strategy, spec, qasm)| {
+            let circuit = parse_qasm(qasm).expect("generated QASM parses");
+            let topo = parse_topology_spec(spec).expect("valid spec");
+            let result = reference.compile(&circuit, &topo, *strategy);
+            (label.clone(), result_fingerprint(&result))
+        })
+        .collect();
+
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("resilience-chaos");
+    let _ = std::fs::remove_dir_all(&dir);
+    let faults = FaultPlan::every_nth(3, FaultKind::DiskFull).on_ops(&[FaultOp::Store]);
+    let session = Arc::new(
+        Compiler::builder()
+            .workers(1)
+            .persist_dir(&dir)
+            .persist_faults(faults.clone())
+            .persist_breaker(1, COOLDOWN)
+            .build(),
+    );
+    assert!(session.persistence_enabled());
+    let drain = DrainHandle::new();
+    let limits = ServiceLimits {
+        max_queue_depth: 4,
+        ..ServiceLimits::default()
+    };
+    let (mut client, server) = connect_draining(Arc::clone(&session), limits, drain.clone());
+    client.set_retry_policy(RetryPolicy {
+        max_attempts: 40,
+        base_delay: Duration::from_millis(5),
+        max_delay: Duration::from_millis(50),
+        deadline: Some(Duration::from_secs(30)),
+        jitter: true,
+        seed: 0xC4A05,
+    });
+
+    // Park the pool so the queue fills and submits hit `busy`; un-park
+    // from the side once the client is deep in its retry loop.
+    session.pause_workers();
+    let unpause = {
+        let session = Arc::clone(&session);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            session.resume_workers();
+        })
+    };
+    let chaotic = run_sweep(&mut client, sweep);
+    unpause.join().expect("unpause thread");
+    assert_eq!(chaotic.len(), sweep.len(), "every job must complete");
+    for (label, ..) in sweep {
+        assert_eq!(chaotic[label], clean[label], "chaos changed `{label}`");
+    }
+    let retries = client.retry_stats();
+    assert!(retries.busy_retries >= 1, "{retries:?}");
+    assert_eq!(retries.give_ups, 0, "{retries:?}");
+    let tiers = client.stats().expect("stats").tiers;
+    assert!(
+        tiers.disk_write_errors >= 1,
+        "the flaky disk bit: {tiers:?}"
+    );
+    assert!(tiers.breaker_trips >= 1, "the breaker tripped: {tiers:?}");
+    assert!(tiers.disk_writes >= 1, "some write-backs landed: {tiers:?}");
+
+    // Heal the disk: past the cooldown the breaker recovers through a
+    // half-open probe.
+    faults.heal();
+    std::thread::sleep(COOLDOWN + Duration::from_millis(150));
+    let recovered = run_sweep(&mut client, probe);
+    assert_eq!(recovered[&probe[0].0], clean[&probe[0].0]);
+    let healed = client.stats().expect("stats").tiers;
+    assert!(healed.breaker_probes >= 1, "{healed:?}");
+    assert_eq!(healed.breaker_state, BreakerState::Closed, "{healed:?}");
+
+    drain.trigger();
+    let err = client
+        .submit("late", Strategy::Eqm, "grid:2", &sweep[0].3)
+        .expect_err("a draining server accepts no new jobs");
+    assert!(matches!(err, ServiceError::Draining { .. }), "{err}");
+    client.stats().expect("stats during drain");
     drop(client);
     server.join().expect("server thread").expect("server exit");
 }

@@ -335,10 +335,12 @@ fn protocol_errors_do_not_end_the_connection() {
 fn failed_jobs_stream_failure_events() {
     let session = Arc::new(Compiler::builder().workers(1).build());
     let (mut client, server) = connect(session);
-    // 6 qubits on a 2-node line: the mapping panics; the wire reports it.
-    let qasm = to_qasm(&build(Benchmark::Bv, 6, 7));
+    // Admission lets AWE bring up to 2 qubits per unit, but with no
+    // two-qubit gate it finds no pair to pack: 3 qubits on a 2-node line
+    // panic in mapping, and the wire reports it.
+    let idle = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\n";
     let id = client
-        .submit("boom", Strategy::QubitOnly, "line:2", &qasm)
+        .submit("boom", Strategy::Awe, "line:2", idle)
         .unwrap();
     match client.next_event().unwrap() {
         ServiceEvent::Failed { job, error, .. } => {
@@ -349,6 +351,7 @@ fn failed_jobs_stream_failure_events() {
     }
     assert_eq!(client.poll(id).unwrap(), "failed");
     // The worker survived; the service keeps serving.
+    let qasm = to_qasm(&build(Benchmark::Bv, 6, 7));
     let ok = client
         .submit("fine", Strategy::QubitOnly, "line:6", &qasm)
         .unwrap();

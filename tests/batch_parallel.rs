@@ -8,12 +8,14 @@ use qompress_circuit::Circuit;
 use qompress_workloads::{build, random_circuit, Benchmark};
 
 /// A mixed job list: built-in benchmarks and QASM-generator circuits,
-/// several strategies, and two shared topologies (so the per-topology
-/// cache dedup path is exercised).
+/// every non-exhaustive strategy, and three shared topologies (so the
+/// per-topology cache dedup path is exercised), one of them the 65-unit
+/// heavy-hex device.
 fn sweep_jobs() -> Vec<BatchJob> {
     let mut jobs = Vec::new();
     let topo_grid = Topology::grid(8);
     let topo_line = Topology::line(8);
+    let topo_heavy_hex = Topology::heavy_hex_65();
     for (bench, size) in [(Benchmark::Cuccaro, 8), (Benchmark::Bv, 8)] {
         let circuit = build(bench, size, 7);
         for strategy in [Strategy::QubitOnly, Strategy::Eqm, Strategy::RingBased] {
@@ -26,10 +28,18 @@ fn sweep_jobs() -> Vec<BatchJob> {
         }
         jobs.push(BatchJob::new(
             format!("{bench}-awe-line"),
-            circuit,
+            circuit.clone(),
             Strategy::Awe,
             topo_line.clone(),
         ));
+        for strategy in [Strategy::FullQuquart, Strategy::ProgressivePairing] {
+            jobs.push(BatchJob::new(
+                format!("{bench}-{}-heavyhex", strategy.name()),
+                circuit.clone(),
+                strategy,
+                topo_heavy_hex.clone(),
+            ));
+        }
     }
     for seed in 0..3u64 {
         jobs.push(BatchJob::new(
@@ -107,8 +117,8 @@ fn batch_agrees_with_serial_compile() {
 #[test]
 fn caches_are_shared_across_jobs_on_one_topology() {
     let out = batch_on(4, &sweep_jobs());
-    // grid-8 and line-8 only.
-    assert_eq!(out.distinct_topologies, 2);
+    // grid-8, line-8 and heavy-hex-65 only.
+    assert_eq!(out.distinct_topologies, 3);
 }
 
 #[test]

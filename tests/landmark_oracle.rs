@@ -5,12 +5,17 @@
 //! estimates must be admissible lower bounds on the true
 //! Dijkstra distances, the hot-row exact path must agree bitwise with a
 //! dedicated exact oracle, landmark-mode paths must be real walks in the
-//! expanded graph, and a landmark-forced end-to-end compilation must be
-//! deterministic and emit only adjacency-respecting two-unit ops.
+//! expanded graph, a landmark-forced end-to-end compilation must be
+//! deterministic and emit only adjacency-respecting two-unit ops, and
+//! forced-landmark routing must stay within 5% of exact communication.
 
-use qompress::{Compiler, CompilerConfig, DistanceOracle, OracleMode, Strategy};
+use qompress::{
+    map_circuit, route_cached, Compiler, CompilerConfig, DistanceOracle, MappingOptions,
+    OracleMode, PhysicalOp, Strategy,
+};
 use qompress_arch::{ExpandedGraph, Topology};
 use qompress_circuit::graph::WGraph;
+use qompress_circuit::CircuitDag;
 use qompress_service::result_fingerprint;
 use qompress_workloads::{build, Benchmark};
 
@@ -181,38 +186,86 @@ fn landmark_mode_compilation_is_valid_and_deterministic() {
 }
 
 /// At utility scale the landmark footprint is where the design pays off:
-/// on the 1121-unit heavy-hex member, servicing distance queries from
-/// every unit keeps the oracle under 10% of the all-pairs matrix.
+/// on the 1121-unit heavy-hex member and a 1024-unit grid, servicing
+/// distance queries from every unit keeps the oracle under 10% of the
+/// all-pairs matrix.
 #[test]
 fn landmark_footprint_is_under_ten_percent_at_utility_scale() {
-    let topo = Topology::heavy_hex(21);
-    assert_eq!(topo.n_nodes(), 1121);
-    let expanded = ExpandedGraph::new(topo.clone());
-    let oracle = DistanceOracle::bare(&expanded, &CompilerConfig::paper());
-    assert_eq!(oracle.mode(), OracleMode::Landmark);
+    for (topo, units) in [
+        (Topology::heavy_hex(21), 1121),
+        (Topology::grid(1024), 1024),
+    ] {
+        assert_eq!(topo.n_nodes(), units);
+        let expanded = ExpandedGraph::new(topo.clone());
+        let oracle = DistanceOracle::bare(&expanded, &CompilerConfig::paper());
+        assert_eq!(oracle.mode(), OracleMode::Landmark, "{}", topo.name());
 
-    // Query a spread of pairs — estimates from every region plus a few
-    // exact front-layer lookups, mirroring the router's access mix.
-    let n = topo.n_nodes();
-    for step in [1, 97, 311] {
-        for i in (0..n).step_by(7) {
-            let _ = oracle.distance_idx(2 * i, 2 * ((i + step) % n));
+        // Query a spread of pairs — estimates from every region plus a
+        // few exact front-layer lookups, mirroring the router's access
+        // mix.
+        let n = topo.n_nodes();
+        for step in [1, 97, 311] {
+            for i in (0..n).step_by(7) {
+                let _ = oracle.distance_idx(2 * i, 2 * ((i + step) % n));
+            }
+        }
+        for i in 0..40 {
+            let _ = oracle.distance_exact_idx(2 * i, 2 * ((i + 500) % n));
+        }
+
+        let stats = oracle.stats();
+        assert!(stats.landmark_rows > 0, "{}: {stats:?}", topo.name());
+        let n_slots = 2 * n;
+        let all_pairs_bytes = n_slots * n_slots * 8;
+        assert!(
+            stats.approx_bytes < all_pairs_bytes / 10,
+            "{}: oracle footprint {} not under 10% of all-pairs {}",
+            topo.name(),
+            stats.approx_bytes,
+            all_pairs_bytes
+        );
+    }
+}
+
+/// Landmark estimates only steer the router's lookahead: routing one
+/// mapped layout with the exact oracle and with landmark mode forced
+/// must realize two-unit op counts within 5% of each other.
+#[test]
+fn forced_landmark_routing_stays_within_five_percent_of_exact() {
+    let config = CompilerConfig::paper();
+    let landmark = landmark_config();
+    let exact_session = Compiler::builder().config(config.clone()).build();
+    let landmark_session = Compiler::builder().config(landmark.clone()).build();
+    let two_unit_ops = |ops: &[PhysicalOp]| {
+        ops.iter()
+            .filter(|op| matches!(op, PhysicalOp::TwoUnit { .. }))
+            .count()
+    };
+    for distance in [5, 7] {
+        let topo = Topology::heavy_hex(distance);
+        for bench in [Benchmark::Cuccaro, Benchmark::Qram] {
+            let circuit = build(bench, 16, 7);
+            let dag = CircuitDag::build(&circuit);
+            let layout = map_circuit(&circuit, &topo, &config, &MappingOptions::qubit_only());
+            let route = |session: &Compiler, config: &CompilerConfig| {
+                let tcache = session.topology_cache(&topo);
+                two_unit_ops(&route_cached(
+                    &circuit,
+                    &dag,
+                    &mut layout.clone(),
+                    &tcache,
+                    config,
+                ))
+            };
+            let exact = route(&exact_session, &config);
+            let estimated = route(&landmark_session, &landmark);
+            assert!(
+                exact > 0 && exact.abs_diff(estimated) * 20 <= exact,
+                "{bench} on {}: exact {exact} vs landmark {estimated} two-unit ops",
+                topo.name()
+            );
         }
     }
-    for i in 0..40 {
-        let _ = oracle.distance_exact_idx(2 * i, 2 * ((i + 500) % n));
-    }
-
-    let stats = oracle.stats();
-    assert!(stats.landmark_rows > 0, "{stats:?}");
-    let n_slots = 2 * n;
-    let all_pairs_bytes = n_slots * n_slots * 8;
-    assert!(
-        stats.approx_bytes < all_pairs_bytes / 10,
-        "oracle footprint {} not under 10% of all-pairs {}",
-        stats.approx_bytes,
-        all_pairs_bytes
-    );
 }
 
 /// On devices the exact threshold covers, the two entry points answer

@@ -52,36 +52,61 @@ fn only_entry(dir: &Path) -> PathBuf {
 #[test]
 fn restart_serves_disk_hit_byte_identical() {
     let dir = fresh_dir("tier_restart");
-    let circuit = random_circuit(4, 14, 11);
-    let topo = Topology::grid(4);
+    let strategies = [
+        Strategy::QubitOnly,
+        Strategy::Eqm,
+        Strategy::RingBased,
+        Strategy::Awe,
+        Strategy::ProgressivePairing,
+    ];
+    let mut jobs = Vec::new();
+    for (i, strategy) in strategies.into_iter().enumerate() {
+        let n = 4 + i % 4;
+        for topo in [Topology::grid(n), Topology::line(n), Topology::ring(n)] {
+            jobs.push((random_circuit(n, 14 + 3 * i, 11 + i as u64), topo, strategy));
+        }
+    }
+    let n_jobs = jobs.len() as u64;
 
-    let cold = {
+    let cold: Vec<String> = {
         let a = Compiler::builder().workers(1).persist_dir(&dir).build();
         assert!(a.persistence_enabled());
-        let r = a.compile(&circuit, &topo, Strategy::Eqm);
+        let rendered = jobs
+            .iter()
+            .map(|(circuit, topo, strategy)| render(&a.compile(circuit, topo, *strategy)))
+            .collect();
         let stats = a.tiered_cache_stats();
         assert_eq!(stats.memory_hits, 0);
         assert_eq!(stats.disk_hits, 0);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.disk_writes, 1);
+        assert_eq!(stats.misses, n_jobs);
+        assert_eq!(stats.disk_writes, n_jobs, "every result written back");
         assert_eq!(stats.disk_write_errors, 0);
-        render(&r)
+        rendered
     }; // session A dropped: the memory tier is gone, the directory stays
 
     let b = Compiler::builder().workers(1).persist_dir(&dir).build();
-    let warm = b.compile(&circuit, &topo, Strategy::Eqm);
+    for ((circuit, topo, strategy), cold) in jobs.iter().zip(&cold) {
+        let warm = b.compile(circuit, topo, *strategy);
+        assert_eq!(
+            &render(&warm),
+            cold,
+            "{strategy} on {}: disk hit must be byte-identical",
+            topo.name()
+        );
+    }
     let stats = b.tiered_cache_stats();
-    assert_eq!(stats.disk_hits, 1, "restart must hit the disk tier");
+    assert_eq!(stats.disk_hits, n_jobs, "restart must hit the disk tier");
     assert_eq!(stats.misses, 0, "no recompile after restart");
-    assert_eq!(render(&warm), cold, "disk hit must be byte-identical");
+    assert_eq!(stats.disk_rejects, 0, "no artifact may fail validation");
 
-    // The disk hit was promoted into session B's memory tier: a second
+    // The disk hits were promoted into session B's memory tier: a second
     // lookup is a memory hit and never touches the disk counters again.
-    let again = b.compile(&circuit, &topo, Strategy::Eqm);
+    for ((circuit, topo, strategy), cold) in jobs.iter().zip(&cold) {
+        assert_eq!(&render(&b.compile(circuit, topo, *strategy)), cold);
+    }
     let stats = b.tiered_cache_stats();
-    assert_eq!(stats.memory_hits, 1);
-    assert_eq!(stats.disk_hits, 1);
-    assert_eq!(render(&again), cold);
+    assert_eq!(stats.memory_hits, n_jobs);
+    assert_eq!(stats.disk_hits, n_jobs);
 }
 
 #[test]

@@ -419,6 +419,11 @@ fn assert_routers_agree(circuit: &Circuit, topo: &Topology, options: &MappingOpt
     let mut opt_layout = base.clone();
     let cache = TopologyCache::new(topo.clone(), &config);
     let optimized = route_cached(circuit, &dag, &mut opt_layout, &cache, &config);
+    // Routing again on the now-warm cache (its distance rows filled)
+    // must not change a thing.
+    let mut warm_layout = base.clone();
+    let warm = route_cached(circuit, &dag, &mut warm_layout, &cache, &config);
+    assert_eq!(warm, optimized, "warm-cache route diverged ({label})");
 
     let mut ref_layout = base.clone();
     let reference = ReferenceRouter::new(circuit, &dag, &mut ref_layout, &expanded, &config).run();
