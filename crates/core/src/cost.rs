@@ -196,24 +196,6 @@ impl OracleStats {
         self.landmark_rows += landmark_rows;
         self.approx_bytes += approx_bytes;
     }
-
-    /// Serializes to a stable JSON object for the wire `stats` op.
-    pub fn to_json(&self) -> String {
-        // Exhaustive destructuring: a new field fails to compile here
-        // until the JSON shape covers it.
-        let OracleStats {
-            exact_oracles,
-            landmark_oracles,
-            rows_materialized,
-            landmark_rows,
-            approx_bytes,
-        } = self;
-        format!(
-            "{{\"exact_oracles\":{exact_oracles},\"landmark_oracles\":{landmark_oracles},\
-             \"rows_materialized\":{rows_materialized},\"landmark_rows\":{landmark_rows},\
-             \"approx_bytes\":{approx_bytes}}}"
-        )
-    }
 }
 
 /// Precomputed landmark rows: `rows[k][v]` is the exact Dijkstra distance
@@ -905,9 +887,6 @@ mod tests {
         assert_eq!(total.rows_materialized, 7);
         assert_eq!(total.landmark_rows, 16);
         assert_eq!(total.approx_bytes, 1000);
-        let json = total.to_json();
-        assert!(json.contains("\"landmark_rows\":16"));
-        assert!(json.contains("\"approx_bytes\":1000"));
     }
 
     #[test]

@@ -54,25 +54,6 @@ impl CacheStats {
             evictions: self.evictions.saturating_sub(before.evictions),
         }
     }
-
-    /// The stats as a JSON object string —
-    /// `{"hits": …, "misses": …, "evictions": …, "hit_rate": …}` — the
-    /// shape the `qompress-service` stats response embeds. Lives here so
-    /// a new counter field reaches the wire in one place.
-    pub fn to_json(&self) -> String {
-        // Exhaustive destructuring: a new field fails to compile here
-        // until the JSON shape covers it.
-        let CacheStats {
-            hits,
-            misses,
-            evictions,
-        } = *self;
-        format!(
-            "{{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \
-             \"hit_rate\": {:.6}}}",
-            self.hit_rate()
-        )
-    }
 }
 
 /// Per-tier cache counters of a session with a persistent tier attached
@@ -130,40 +111,6 @@ impl TieredCacheStats {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// The stats as a JSON object string, the shape the
-    /// `qompress-service` stats response embeds.
-    pub fn to_json(&self) -> String {
-        // Exhaustive destructuring: a new field fails to compile here
-        // until the JSON shape covers it.
-        let TieredCacheStats {
-            memory_hits,
-            disk_hits,
-            misses,
-            memory_evictions,
-            disk_writes,
-            disk_rejects,
-            disk_write_errors,
-            disk_read_errors,
-            disk_skipped,
-            breaker_trips,
-            breaker_probes,
-            breaker_state,
-        } = *self;
-        format!(
-            "{{\"memory_hits\": {memory_hits}, \"disk_hits\": {disk_hits}, \
-             \"misses\": {misses}, \"memory_evictions\": {memory_evictions}, \
-             \"disk_writes\": {disk_writes}, \"disk_rejects\": {disk_rejects}, \
-             \"disk_write_errors\": {disk_write_errors}, \
-             \"disk_read_errors\": {disk_read_errors}, \
-             \"disk_skipped\": {disk_skipped}, \
-             \"breaker_trips\": {breaker_trips}, \
-             \"breaker_probes\": {breaker_probes}, \
-             \"breaker_state\": \"{}\", \"hit_rate\": {:.6}}}",
-            breaker_state.name(),
-            self.hit_rate()
-        )
     }
 }
 
@@ -477,10 +424,6 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evictions, 1);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(
-            stats.to_json(),
-            "{\"hits\": 3, \"misses\": 2, \"evictions\": 1, \"hit_rate\": 0.600000}"
-        );
     }
 
     #[test]

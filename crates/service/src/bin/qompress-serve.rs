@@ -61,7 +61,7 @@
 //! ```
 
 use qompress::Compiler;
-use qompress_service::{DrainHandle, ServiceLimits, DEFAULT_DISK_CACHE_BYTES};
+use qompress_service::{DrainHandle, ServiceLimits};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -153,7 +153,7 @@ fn main() -> ExitCode {
     let mut workers = 0usize;
     let mut cache_capacity: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
-    let mut cache_disk_bytes = DEFAULT_DISK_CACHE_BYTES;
+    let mut cache_disk_bytes: Option<u64> = None;
     let mut drain_timeout_secs = DEFAULT_DRAIN_TIMEOUT_SECS;
     let mut config = qompress::CompilerConfig::paper();
     let mut limits = ServiceLimits {
@@ -198,7 +198,10 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--cache-disk-bytes" => {
-                count_flag!("--cache-disk-bytes" => cache_disk_bytes)
+                match value("--cache-disk-bytes").and_then(|v| v.parse().ok()) {
+                    Some(v) => cache_disk_bytes = Some(v),
+                    None => return usage(),
+                }
             }
             "--max-qubits" => count_flag!("--max-qubits" => limits.max_circuit_qubits),
             "--max-gates" => count_flag!("--max-gates" => limits.max_circuit_gates),
@@ -238,7 +241,10 @@ fn main() -> ExitCode {
         // Best-effort pre-create; failure is not fatal — the builder
         // degrades to memory-only and reports it as a diagnostic below.
         let _ = std::fs::create_dir_all(dir);
-        builder = builder.persist_dir(dir).persist_max_bytes(cache_disk_bytes);
+        builder = builder.persist_dir(dir);
+        if let Some(bytes) = cache_disk_bytes {
+            builder = builder.persist_max_bytes(bytes);
+        }
     }
     let session = Arc::new(builder.build());
     for warning in session.diagnostics() {
@@ -246,7 +252,8 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = &cache_dir {
         if session.persistence_enabled() {
-            eprintln!("qompress-serve: persistent cache at {dir} (cap {cache_disk_bytes} bytes)");
+            let cap = cache_disk_bytes.map_or(String::new(), |b| format!(" (cap {b} bytes)"));
+            eprintln!("qompress-serve: persistent cache at {dir}{cap}");
         }
     }
 
@@ -284,12 +291,7 @@ fn main() -> ExitCode {
                 listener.local_addr().map_or(addr, |a| a.to_string()),
                 session.workers()
             );
-            qompress_service::serve_tcp_draining(
-                listener,
-                Arc::clone(&session),
-                limits,
-                drain.clone(),
-            )
+            qompress_service::serve_tcp(listener, Arc::clone(&session), limits, drain.clone())
         }
         #[cfg(unix)]
         (None, Some(path)) => {
@@ -304,12 +306,7 @@ fn main() -> ExitCode {
                 "qompress-serve: unix {path} ({} workers)",
                 session.workers()
             );
-            qompress_service::serve_unix_draining(
-                listener,
-                Arc::clone(&session),
-                limits,
-                drain.clone(),
-            )
+            qompress_service::serve_unix(listener, Arc::clone(&session), limits, drain.clone())
         }
         _ => return usage(),
     };

@@ -20,8 +20,8 @@
 //! [`ServiceClient::retry_stats`].
 
 use crate::json::Json;
-use crate::proto::{Request, ServiceEvent};
-use qompress::{BreakerState, CacheStats, OracleStats, ServiceMetrics, Strategy, TieredCacheStats};
+use crate::proto::{Request, ServiceEvent, StatsSnapshot};
+use qompress::Strategy;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -95,24 +95,6 @@ impl From<io::Error> for ServiceError {
     fn from(err: io::Error) -> Self {
         ServiceError::Io(err)
     }
-}
-
-/// Service-side statistics returned by [`ServiceClient::stats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsSnapshot {
-    /// Job-service lifecycle counters.
-    pub service: ServiceMetrics,
-    /// Concrete result-cache counters (in-memory tier).
-    pub cache: CacheStats,
-    /// Skeleton-cache counters (parametric structural compiles).
-    pub skeleton_cache: CacheStats,
-    /// Counters split by cache tier; with no persistent tier configured
-    /// on the server (`--cache-dir`), the disk counters are zero.
-    pub tiers: TieredCacheStats,
-    /// Distance-oracle row/memory accounting across the server's
-    /// registered topologies (landmark-mode devices report their
-    /// O(K·V) footprint here).
-    pub oracle: OracleStats,
 }
 
 /// How a [`ServiceClient`] retries submits that hit transient failures:
@@ -377,88 +359,7 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
     /// Snapshots the server's job-service metrics and cache stats.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServiceError> {
         let response = self.request(&Request::Stats)?;
-        let counter = |name: &str| -> Result<u64, ServiceError> {
-            response
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServiceError::Protocol(format!("stats missing `{name}`")))
-        };
-        let cache = response
-            .get("cache")
-            .ok_or_else(|| ServiceError::Protocol("stats missing `cache`".into()))?;
-        let flat_stats = |obj: &Json, which: &str| -> Result<CacheStats, ServiceError> {
-            let field = |name: &str| -> Result<u64, ServiceError> {
-                obj.get(name).and_then(Json::as_u64).ok_or_else(|| {
-                    ServiceError::Protocol(format!("stats missing {which} `{name}`"))
-                })
-            };
-            Ok(CacheStats {
-                hits: field("hits")?,
-                misses: field("misses")?,
-                evictions: field("evictions")?,
-            })
-        };
-        let skeleton = response
-            .get("skeleton_cache")
-            .ok_or_else(|| ServiceError::Protocol("stats missing `skeleton_cache`".into()))?;
-        let tiers = response
-            .get("tiers")
-            .ok_or_else(|| ServiceError::Protocol("stats missing `tiers`".into()))?;
-        let tier_counter = |name: &str| -> Result<u64, ServiceError> {
-            tiers
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServiceError::Protocol(format!("stats missing tiers `{name}`")))
-        };
-        let oracle = response
-            .get("oracle")
-            .ok_or_else(|| ServiceError::Protocol("stats missing `oracle`".into()))?;
-        let oracle_counter = |name: &str| -> Result<usize, ServiceError> {
-            oracle
-                .get(name)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| ServiceError::Protocol(format!("stats missing oracle `{name}`")))
-        };
-        Ok(StatsSnapshot {
-            service: ServiceMetrics {
-                submitted: counter("submitted")?,
-                queued: counter("queued")?,
-                running: counter("running")?,
-                completed: counter("completed")?,
-                cancelled: counter("cancelled")?,
-                failed: counter("failed")?,
-            },
-            cache: flat_stats(cache, "cache")?,
-            skeleton_cache: flat_stats(skeleton, "skeleton_cache")?,
-            tiers: TieredCacheStats {
-                memory_hits: tier_counter("memory_hits")?,
-                disk_hits: tier_counter("disk_hits")?,
-                misses: tier_counter("misses")?,
-                memory_evictions: tier_counter("memory_evictions")?,
-                disk_writes: tier_counter("disk_writes")?,
-                disk_rejects: tier_counter("disk_rejects")?,
-                disk_write_errors: tier_counter("disk_write_errors")?,
-                disk_read_errors: tier_counter("disk_read_errors")?,
-                disk_skipped: tier_counter("disk_skipped")?,
-                breaker_trips: tier_counter("breaker_trips")?,
-                breaker_probes: tier_counter("breaker_probes")?,
-                breaker_state: tiers
-                    .get("breaker_state")
-                    .and_then(Json::as_str)
-                    .and_then(BreakerState::from_name)
-                    .ok_or_else(|| {
-                        ServiceError::Protocol("stats missing tiers `breaker_state`".into())
-                    })?,
-            },
-            oracle: OracleStats {
-                exact_oracles: oracle_counter("exact_oracles")?,
-                landmark_oracles: oracle_counter("landmark_oracles")?,
-                rows_materialized: oracle_counter("rows_materialized")?,
-                landmark_rows: oracle_counter("landmark_rows")?,
-                approx_bytes: oracle_counter("approx_bytes")?,
-            },
-        })
+        StatsSnapshot::parse(&response).map_err(ServiceError::Protocol)
     }
 
     /// Pauses the server session's workers (queued jobs stay queued and

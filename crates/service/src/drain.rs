@@ -4,9 +4,8 @@
 //! down (a signal handler, a test, an operator thread) to the accept
 //! loops and connection handlers that must wind work down:
 //!
-//! * the draining listener variants ([`crate::serve_tcp_draining`],
-//!   [`crate::serve_unix_draining`]) stop accepting connections and
-//!   return once the flag trips;
+//! * the listeners ([`crate::serve_tcp`], [`crate::serve_unix`]) stop
+//!   accepting connections and return once the flag trips;
 //! * connections already being served answer new `submit` /
 //!   `submit_sweep` requests with a structured
 //!   `{"ok":false,"draining":true,…}` rejection (surfaced client-side as

@@ -341,7 +341,10 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+                // `-0.0` goes out as `{n:?}`: the integer form drops its
+                // sign, and the result cache keys angles by bit pattern.
+                let negative_zero = *n == 0.0 && n.is_sign_negative();
+                if n.fract() == 0.0 && n.abs() < 2f64.powi(53) && !negative_zero {
                     write!(f, "{}", *n as i64)
                 } else {
                     write!(f, "{n:?}")
@@ -510,6 +513,14 @@ mod tests {
         // used to recurse once per byte and kill the thread.
         let bomb = "[".repeat(4 * 1024 * 1024);
         assert!(Json::parse(&bomb).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        let text = Json::Num(-0.0).to_string();
+        let back = Json::parse(&text).unwrap().as_f64().unwrap();
+        assert!(back == 0.0 && back.is_sign_negative(), "{text}");
+        assert_eq!(Json::Num(0.0).to_string(), "0");
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //!
 //! * **TCP** — [`serve_tcp`] over a caller-bound `TcpListener`;
 //! * **Unix socket** — [`serve_unix`] (unix only);
-//! * **in-memory loopback** — [`loopback`], for the tests under
-//!   `crates/service/tests/`, which exercise the full protocol with no
-//!   kernel sockets at all.
+//! * **any `(Read, Write)` pair**, one connection — [`serve_duplex`], or
+//!   [`serve_duplex_with`] for explicit limits and drain; with the
+//!   in-memory [`loopback`] transport, the tests under
+//!   `crates/service/tests/` exercise the full protocol with no kernel
+//!   sockets at all.
 //!
-//! [`ServiceClient`] is a blocking client over any of the three.
+//! [`ServiceClient`] is a blocking client over any of them.
 //!
 //! ## Hardening: limits, quotas, backpressure
 //!
-//! The server assumes hostile clients. Every entry point has a
-//! `*_with_limits` twin taking a [`ServiceLimits`] (the plain forms use
+//! The server assumes hostile clients. [`serve_tcp`], [`serve_unix`] and
+//! [`serve_duplex_with`] take a [`ServiceLimits`] ([`serve_duplex`] uses
 //! [`ServiceLimits::default`]): request-shape bounds (circuit
 //! qubits/gates, topology size, sweep width), per-connection quotas
 //! (outstanding and lifetime job counts, uploaded topologies),
@@ -46,11 +48,10 @@
 //! attempt/deadline caps): `busy` rejections always qualify, and
 //! transport errors qualify once a reconnect hook is installed
 //! ([`ServiceClient::set_reconnect`]) — resubmitting after a reconnect
-//! is safe because results are content-addressed. On the server side, a
-//! [`DrainHandle`] turns the `*_draining` entry points
-//! ([`serve_tcp_draining`], [`serve_unix_draining`],
-//! [`serve_duplex_draining`]) into gracefully stoppable servers: once
-//! tripped, the accept loop returns, new submits answer
+//! is safe because results are content-addressed. On the server side,
+//! [`serve_tcp`], [`serve_unix`] and [`serve_duplex_with`] watch a
+//! [`DrainHandle`], which makes them gracefully stoppable: once tripped,
+//! the accept loop returns, new submits answer
 //! `{"ok":false,"draining":true,…}` ([`ServiceError::Draining`], never
 //! retried), and in-flight jobs finish with their events still
 //! streaming.
@@ -101,17 +102,14 @@ pub mod proto;
 mod client;
 mod server;
 
-pub use client::{RetryPolicy, RetryStats, ServiceClient, ServiceError, StatsSnapshot};
+pub use client::{RetryPolicy, RetryStats, ServiceClient, ServiceError};
 pub use drain::DrainHandle;
-pub use limits::{ServiceLimits, DEFAULT_DISK_CACHE_BYTES};
+pub use limits::ServiceLimits;
 pub use loopback::{loopback, LoopbackEnd, LoopbackReader, LoopbackWriter};
 pub use proto::{
     parse_topology_spec, parse_topology_spec_bounded, result_fingerprint, strategy_by_name,
-    Request, ServiceEvent, WireMetrics, DEFAULT_MAX_TOPOLOGY_NODES,
-};
-pub use server::{
-    serve_duplex, serve_duplex_draining, serve_duplex_with_limits, serve_tcp, serve_tcp_draining,
-    serve_tcp_with_limits,
+    Request, ServiceEvent, StatsSnapshot, WireMetrics, DEFAULT_MAX_TOPOLOGY_NODES,
 };
 #[cfg(unix)]
-pub use server::{serve_unix, serve_unix_draining, serve_unix_with_limits};
+pub use server::serve_unix;
+pub use server::{serve_duplex, serve_duplex_with, serve_tcp};

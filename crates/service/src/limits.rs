@@ -8,8 +8,8 @@
 //! topology size, sweep width), per-connection quotas (outstanding and
 //! lifetime job counts, uploaded topologies), queue-depth backpressure,
 //! and the idle-connection timeout. `qompress-serve` exposes each as a
-//! flag; the `serve_*_with_limits` entry points thread one config into
-//! every connection.
+//! flag; `serve_duplex_with`, `serve_tcp` and `serve_unix` thread one
+//! config into every connection.
 //!
 //! Violations are **structured responses, not disconnects**: a request
 //! past a shape bound or quota answers `{"ok":false,…}` with a `quota`
@@ -20,15 +20,6 @@
 //! `{"ok":false,"timeout":true,…}` line so the client knows why.
 
 use std::time::Duration;
-
-/// Deployment-level default for the persistent cache's disk quota
-/// (`qompress-serve --cache-disk-bytes`): 1 GiB, matching the store
-/// crate's own default. Lives here with the other service-tuning
-/// constants so an operator reads one module to size a deployment; the
-/// disk quota is a session-builder knob rather than a per-connection
-/// [`ServiceLimits`] field because the store is shared by every
-/// connection (and every process) pointing at the directory.
-pub const DEFAULT_DISK_CACHE_BYTES: u64 = 1 << 30;
 
 /// Per-connection admission limits for the wire server.
 ///

@@ -18,8 +18,14 @@
 //! → {"op":"cancel","job":2}
 //! ← {"ok":true,"op":"cancel","job":2,"cancelled":true}
 //! → {"op":"stats"}
-//! ← {"ok":true,"op":"stats","submitted":3,…,"cache":{"hits":1,…,"hit_rate":0.33}}
+//! ← {"ok":true,"op":"stats","submitted":3,…,"cache":{"hits":1,…,"hit_rate":0.333333},
+//!    "skeleton_cache":{…},"tiers":{"memory_hits":1,…,"breaker_state":"closed",…},
+//!    "oracle":{"exact_oracles":1,…}}
 //! ```
+//!
+//! [`Request`] and [`ServiceEvent`] define the requests and events; the
+//! one response with a body of its own, `stats`, is [`StatsSnapshot`].
+//! Every other response is a fixed shape the server writes inline.
 //!
 //! Failures are responses with `"ok":false` and an `"error"` string; the
 //! connection stays usable. `result_fp` is the 64-bit FNV-1a fingerprint
@@ -32,8 +38,12 @@
 
 use crate::json::{escape, Json};
 use qompress::persist::encode_result;
-use qompress::{CompilationResult, JobStatus, Strategy, ALL_STRATEGIES};
+use qompress::{
+    BreakerState, CacheStats, CompilationResult, Compiler, JobStatus, OracleStats, ServiceMetrics,
+    Strategy, TieredCacheStats, ALL_STRATEGIES,
+};
 use qompress_arch::{Fingerprinter, Topology};
+use std::fmt::Display;
 
 /// Requests understood by the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -598,6 +608,160 @@ impl ServiceEvent {
     }
 }
 
+/// Service-side statistics: the body of the `stats` response.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StatsSnapshot {
+    /// Job-service lifecycle counters.
+    pub service: ServiceMetrics,
+    /// Concrete result-cache counters (in-memory tier).
+    pub cache: CacheStats,
+    /// Skeleton-cache counters (parametric structural compiles).
+    pub skeleton_cache: CacheStats,
+    /// Counters split by cache tier; with no persistent tier configured
+    /// on the server (`--cache-dir`), the disk counters are zero.
+    pub tiers: TieredCacheStats,
+    /// Distance-oracle row/memory accounting across the server's
+    /// registered topologies (landmark-mode devices report their
+    /// O(K·V) footprint here).
+    pub oracle: OracleStats,
+}
+
+/// One counter of a `stats` group: its wire name, and how to read it
+/// from and write it to the group's typed snapshot. [`StatsSnapshot`]
+/// writes and parses every group by walking its table, so each
+/// counter's wire name is written once.
+type Counter<T, N = u64> = (&'static str, fn(&T) -> N, fn(&mut T, N));
+
+/// The job-service counters, at the top level of the response.
+#[rustfmt::skip]
+const SERVICE: &[Counter<ServiceMetrics>] = &[
+    ("submitted", |m| m.submitted, |m, v| m.submitted = v),
+    ("queued", |m| m.queued, |m, v| m.queued = v),
+    ("running", |m| m.running, |m, v| m.running = v),
+    ("completed", |m| m.completed, |m, v| m.completed = v),
+    ("cancelled", |m| m.cancelled, |m, v| m.cancelled = v),
+    ("failed", |m| m.failed, |m, v| m.failed = v),
+];
+
+/// The counters of the `cache` and `skeleton_cache` objects.
+#[rustfmt::skip]
+const CACHE: &[Counter<CacheStats>] = &[
+    ("hits", |c| c.hits, |c, v| c.hits = v),
+    ("misses", |c| c.misses, |c, v| c.misses = v),
+    ("evictions", |c| c.evictions, |c, v| c.evictions = v),
+];
+
+/// The counters of the `tiers` object.
+#[rustfmt::skip]
+const TIERS: &[Counter<TieredCacheStats>] = &[
+    ("memory_hits", |t| t.memory_hits, |t, v| t.memory_hits = v),
+    ("disk_hits", |t| t.disk_hits, |t, v| t.disk_hits = v),
+    ("misses", |t| t.misses, |t, v| t.misses = v),
+    ("memory_evictions", |t| t.memory_evictions, |t, v| t.memory_evictions = v),
+    ("disk_writes", |t| t.disk_writes, |t, v| t.disk_writes = v),
+    ("disk_rejects", |t| t.disk_rejects, |t, v| t.disk_rejects = v),
+    ("disk_write_errors", |t| t.disk_write_errors, |t, v| t.disk_write_errors = v),
+    ("disk_read_errors", |t| t.disk_read_errors, |t, v| t.disk_read_errors = v),
+    ("disk_skipped", |t| t.disk_skipped, |t, v| t.disk_skipped = v),
+    ("breaker_trips", |t| t.breaker_trips, |t, v| t.breaker_trips = v),
+    ("breaker_probes", |t| t.breaker_probes, |t, v| t.breaker_probes = v),
+];
+
+/// The counters of the `oracle` object.
+#[rustfmt::skip]
+const ORACLE: &[Counter<OracleStats, usize>] = &[
+    ("exact_oracles", |o| o.exact_oracles, |o, v| o.exact_oracles = v),
+    ("landmark_oracles", |o| o.landmark_oracles, |o, v| o.landmark_oracles = v),
+    ("rows_materialized", |o| o.rows_materialized, |o, v| o.rows_materialized = v),
+    ("landmark_rows", |o| o.landmark_rows, |o, v| o.landmark_rows = v),
+    ("approx_bytes", |o| o.approx_bytes, |o, v| o.approx_bytes = v),
+];
+
+impl StatsSnapshot {
+    /// Reads every counter of `session`.
+    pub fn of(session: &Compiler) -> StatsSnapshot {
+        StatsSnapshot {
+            service: session.service_metrics(),
+            cache: session.cache_stats(),
+            skeleton_cache: session.skeleton_cache_stats(),
+            tiers: session.tiered_cache_stats(),
+            oracle: session.oracle_stats(),
+        }
+    }
+
+    /// Serializes the snapshot to its `stats` response line (no trailing
+    /// newline). Each cache group closes with its `hit_rate`, to six
+    /// decimals; `tiers` carries `breaker_state` by name before it.
+    pub fn to_line(&self) -> String {
+        format!(
+            "{{\"ok\":true,\"op\":\"stats\",{},\"cache\":{{{},\"hit_rate\":{:.6}}},\
+             \"skeleton_cache\":{{{},\"hit_rate\":{:.6}}},\"tiers\":{{{},\
+             \"breaker_state\":\"{}\",\"hit_rate\":{:.6}}},\"oracle\":{{{}}}}}",
+            write_counters(&self.service, SERVICE),
+            write_counters(&self.cache, CACHE),
+            self.cache.hit_rate(),
+            write_counters(&self.skeleton_cache, CACHE),
+            self.skeleton_cache.hit_rate(),
+            write_counters(&self.tiers, TIERS),
+            self.tiers.breaker_state.name(),
+            self.tiers.hit_rate(),
+            write_counters(&self.oracle, ORACLE),
+        )
+    }
+
+    /// Parses a `stats` response. The `hit_rate`s are derived from the
+    /// counters, so they are not read back.
+    pub fn parse(value: &Json) -> Result<StatsSnapshot, String> {
+        let object = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| format!("stats missing `{name}`"))
+        };
+        let tiers = object("tiers")?;
+        Ok(StatsSnapshot {
+            service: read_counters(value, SERVICE)?,
+            cache: read_counters(object("cache")?, CACHE)?,
+            skeleton_cache: read_counters(object("skeleton_cache")?, CACHE)?,
+            tiers: TieredCacheStats {
+                breaker_state: tiers
+                    .get("breaker_state")
+                    .and_then(Json::as_str)
+                    .and_then(BreakerState::from_name)
+                    .ok_or_else(|| "stats missing `breaker_state`".to_string())?,
+                ..read_counters(tiers, TIERS)?
+            },
+            oracle: read_counters(object("oracle")?, ORACLE)?,
+        })
+    }
+}
+
+/// `"name":value` for each counter of `table`, comma-separated.
+fn write_counters<T, N: Display>(group: &T, table: &[Counter<T, N>]) -> String {
+    table
+        .iter()
+        .map(|(name, get, _)| format!("\"{name}\":{}", get(group)))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Reads each counter of `table` from the object `value` into a fresh
+/// group.
+fn read_counters<T: Default, N: TryFrom<u64>>(
+    value: &Json,
+    table: &[Counter<T, N>],
+) -> Result<T, String> {
+    let mut group = T::default();
+    for (name, _, set) in table {
+        let count = value
+            .get(name)
+            .and_then(Json::as_u64)
+            .and_then(|n| N::try_from(n).ok())
+            .ok_or_else(|| format!("stats missing `{name}`"))?;
+        set(&mut group, count);
+    }
+    Ok(group)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +863,7 @@ mod tests {
                 strategy: Strategy::FullQuquart,
                 topology: "line:6".to_string(),
                 qasm: "OPENQASM 2.0;\nqreg q[2];\nrz(theta0) q[0];\n".to_string(),
-                bindings: vec![vec![0.5, -1.25], vec![3.0, 0.0078125], vec![]],
+                bindings: vec![vec![0.5, -1.25], vec![3.0, 0.0078125], vec![-0.0], vec![]],
             },
             Request::Topology {
                 name: "lab-device".to_string(),
@@ -714,7 +878,11 @@ mod tests {
         ];
         for request in requests {
             let line = request.to_line();
-            assert_eq!(Request::parse(&line).unwrap(), request, "{line}");
+            let parsed = Request::parse(&line).unwrap();
+            assert_eq!(parsed, request, "{line}");
+            // `PartialEq` has `-0.0 == 0.0`; `Debug` prints the sign.
+            assert_eq!(format!("{parsed:?}"), format!("{request:?}"));
+            assert_eq!(parsed.to_line(), line);
         }
     }
 
@@ -789,10 +957,123 @@ mod tests {
             let value = Json::parse(&line).unwrap();
             let parsed = ServiceEvent::parse(&value).unwrap().unwrap();
             assert_eq!(parsed, event, "{line}");
+            assert_eq!(parsed.to_line(), line);
         }
         // Responses are not events.
         let value = Json::parse(r#"{"ok":true,"op":"stats"}"#).unwrap();
         assert_eq!(ServiceEvent::parse(&value).unwrap(), None);
+    }
+
+    /// A snapshot in which every counter holds a distinct nonzero value.
+    /// The struct literals are exhaustive, so a new counter does not
+    /// compile here until it gets a value of its own.
+    fn distinct_snapshot(breaker_state: BreakerState) -> StatsSnapshot {
+        StatsSnapshot {
+            service: ServiceMetrics {
+                submitted: 1,
+                queued: 2,
+                running: 3,
+                completed: 4,
+                cancelled: 5,
+                failed: 6,
+            },
+            cache: CacheStats {
+                hits: 7,
+                misses: 8,
+                evictions: 9,
+            },
+            skeleton_cache: CacheStats {
+                hits: 10,
+                misses: 11,
+                evictions: 12,
+            },
+            tiers: TieredCacheStats {
+                memory_hits: 13,
+                disk_hits: 14,
+                misses: 15,
+                memory_evictions: 16,
+                disk_writes: 17,
+                disk_rejects: 18,
+                disk_write_errors: 19,
+                disk_read_errors: 20,
+                disk_skipped: 21,
+                breaker_trips: 22,
+                breaker_probes: 23,
+                breaker_state,
+            },
+            oracle: OracleStats {
+                exact_oracles: 24,
+                landmark_oracles: 25,
+                rows_materialized: 26,
+                landmark_rows: 27,
+                approx_bytes: 28,
+            },
+        }
+    }
+
+    #[test]
+    fn stats_round_trip_every_counter() {
+        // A counter missing from its table parses back as zero, and an
+        // entry whose getter and setter name different fields moves a
+        // value to the wrong counter: either fails here.
+        for state in [
+            BreakerState::Closed,
+            BreakerState::Open,
+            BreakerState::HalfOpen,
+        ] {
+            let stats = distinct_snapshot(state);
+            let line = stats.to_line();
+            let parsed = StatsSnapshot::parse(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(parsed, stats, "{line}");
+            assert_eq!(parsed.to_line(), line);
+        }
+        let mut value = Json::parse(&distinct_snapshot(BreakerState::Closed).to_line()).unwrap();
+        let Json::Obj(fields) = &mut value else {
+            panic!("the stats line is an object")
+        };
+        fields.retain(|(key, _)| key != "tiers");
+        assert_eq!(
+            StatsSnapshot::parse(&value).unwrap_err(),
+            "stats missing `tiers`"
+        );
+    }
+
+    #[test]
+    fn stats_line_keeps_its_wire_shape() {
+        // A `stats` line as clients have received it: a one-worker
+        // session after two identical `eqm` submits of a 3-qubit GHZ on
+        // `grid:4`. Only whitespace may change; every key, its order,
+        // its nesting and its value are the wire contract.
+        let wire = r#"{"ok":true,"op":"stats","submitted":2,"queued":0,"running":0,"completed":2,"cancelled":0,"failed":0,"cache":{"hits": 1, "misses": 1, "evictions": 0, "hit_rate": 0.500000},"skeleton_cache":{"hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.000000},"tiers":{"memory_hits": 1, "disk_hits": 0, "misses": 1, "memory_evictions": 0, "disk_writes": 0, "disk_rejects": 0, "disk_write_errors": 0, "disk_read_errors": 0, "disk_skipped": 0, "breaker_trips": 0, "breaker_probes": 0, "breaker_state": "closed", "hit_rate": 0.500000},"oracle":{"exact_oracles":1,"landmark_oracles":0,"rows_materialized":0,"landmark_rows":0,"approx_bytes":0}}"#;
+        let stats = StatsSnapshot {
+            service: ServiceMetrics {
+                submitted: 2,
+                completed: 2,
+                ..ServiceMetrics::default()
+            },
+            cache: CacheStats {
+                hits: 1,
+                misses: 1,
+                evictions: 0,
+            },
+            skeleton_cache: CacheStats::default(),
+            tiers: TieredCacheStats {
+                memory_hits: 1,
+                misses: 1,
+                ..TieredCacheStats::default()
+            },
+            oracle: OracleStats {
+                exact_oracles: 1,
+                ..OracleStats::default()
+            },
+        };
+        let line = stats.to_line();
+        assert_eq!(Json::parse(&line).unwrap(), Json::parse(wire).unwrap());
+        assert!(line.contains("\"hit_rate\":0.500000}"), "{line}");
+        assert_eq!(
+            StatsSnapshot::parse(&Json::parse(wire).unwrap()).unwrap(),
+            stats
+        );
     }
 
     #[test]

@@ -3,25 +3,25 @@
 //!
 //! [`serve_duplex`] drives one connection over any `(Read, Write)` pair —
 //! a TCP stream, a Unix socket, or the in-memory [`crate::loopback`]
-//! transport. [`serve_tcp`] and [`serve_unix`] accept connections in a
-//! loop and spawn one `serve_duplex` thread each; every connection shares
-//! the session's worker pool, topology registry and result cache, so a
-//! circuit submitted twice — by the same client or two different ones —
-//! compiles once.
+//! transport — and [`serve_duplex_with`] does the same under explicit
+//! [`ServiceLimits`] and a [`DrainHandle`]. [`serve_tcp`] and
+//! [`serve_unix`] accept connections in a loop and serve each on its own
+//! thread; every connection shares the session's worker pool, topology
+//! registry and result cache, so a circuit submitted twice — by the same
+//! client or two different ones — compiles once.
 //!
-//! Every entry point has a `*_with_limits` twin taking a
-//! [`ServiceLimits`]; the plain forms serve with
-//! [`ServiceLimits::default`]. Limits are enforced per connection:
-//! request-shape bounds and quotas answer structured `{"ok":false,…}`
-//! responses (the connection stays usable), queue-depth backpressure
-//! answers `busy` responses with the current depth, and the idle timeout
-//! writes a final `timeout` line before closing.
+//! Limits are enforced per connection: request-shape bounds and quotas
+//! answer structured `{"ok":false,…}` responses (the connection stays
+//! usable), queue-depth backpressure answers `busy` responses with the
+//! current depth, and the idle timeout writes a final `timeout` line
+//! before closing.
 
 use crate::drain::DrainHandle;
 use crate::json::escape;
 use crate::limits::ServiceLimits;
 use crate::proto::{
-    parse_topology_spec_bounded, result_fingerprint, Request, ServiceEvent, WireMetrics,
+    parse_topology_spec_bounded, result_fingerprint, Request, ServiceEvent, StatsSnapshot,
+    WireMetrics,
 };
 use qompress::{
     BatchJob, Compiler, CompletionQueue, JobHandle, JobOutcome, JobStatus, ParamSweep, Strategy,
@@ -84,41 +84,33 @@ where
     R: Read,
     W: Write + Send + 'static,
 {
-    serve_conn(
+    serve_duplex_with(
         session,
         reader,
         writer,
-        true,
         ServiceLimits::default(),
-        None,
+        DrainHandle::new(),
     )
 }
 
-/// [`serve_duplex`] with explicit admission limits. The transport's own
-/// read timeout is the caller's to configure (e.g.
+/// [`serve_duplex`] with explicit admission limits, watching a
+/// [`DrainHandle`].
+///
+/// The transport's own read timeout is the caller's to configure (e.g.
 /// [`crate::LoopbackReader::set_read_timeout`]); `limits.idle_timeout`
 /// here only labels the closing `timeout` line — the socket listeners
 /// apply it to their streams for you.
-pub fn serve_duplex_with_limits<R, W>(
-    session: Arc<Compiler>,
-    reader: R,
-    writer: W,
-    limits: ServiceLimits,
-) -> io::Result<()>
-where
-    R: Read,
-    W: Write + Send + 'static,
-{
-    serve_conn(session, reader, writer, true, limits, None)
-}
-
-/// [`serve_duplex_with_limits`] watching a [`DrainHandle`]: once the
-/// handle trips, new `submit`/`submit_sweep` requests on this connection
-/// answer `{"ok":false,"draining":true,…}` while every other op (and
-/// the event stream for already-admitted jobs) keeps working. The
-/// connection still runs to EOF — drain stops *work intake*, not
+///
+/// Once `drain` trips, new `submit`/`submit_sweep` requests on this
+/// connection answer `{"ok":false,"draining":true,…}` while every other
+/// op (and the event stream for already-admitted jobs) keeps working.
+/// The connection still runs to EOF — drain stops *work intake*, not
 /// conversations.
-pub fn serve_duplex_draining<R, W>(
+///
+/// # Errors
+///
+/// As [`serve_duplex`].
+pub fn serve_duplex_with<R, W>(
     session: Arc<Compiler>,
     reader: R,
     writer: W,
@@ -129,7 +121,7 @@ where
     R: Read,
     W: Write + Send + 'static,
 {
-    serve_conn(session, reader, writer, true, limits, Some(drain))
+    serve_conn(session, reader, writer, true, limits, drain)
 }
 
 /// Per-connection admission state: the lifetime job count, the uploaded
@@ -141,15 +133,11 @@ struct ConnState<'a> {
     outstanding: &'a AtomicUsize,
     total_jobs: u64,
     topologies: HashMap<String, Topology>,
-    /// The server's drain flag; `None` on non-draining entry points.
-    drain: Option<&'a DrainHandle>,
+    /// The server's drain flag: once it trips, submits are rejected.
+    drain: &'a DrainHandle,
 }
 
 impl ConnState<'_> {
-    /// Whether the server is draining — submits must be rejected.
-    fn draining(&self) -> bool {
-        self.drain.is_some_and(DrainHandle::is_draining)
-    }
     /// Admission control for `n_jobs` new jobs: the lifetime quota, the
     /// outstanding-jobs quota, then queue-depth backpressure — all
     /// before any parsing or compilation work is spent on the request.
@@ -256,20 +244,20 @@ impl ConnState<'_> {
     }
 }
 
-/// [`serve_duplex`] with an explicit admin switch and limits: when
-/// `admin` is false, the session-wide `pause`/`resume` ops answer
-/// `{"ok":false,…}` instead of acting. Shared listeners
-/// ([`serve_tcp`]/[`serve_unix`]) run every connection with
-/// `admin = false`, so no single remote client can stall every other
-/// client's jobs; the single-connection [`serve_duplex`] (whose
-/// transport the caller constructed and controls) allows them.
+/// [`serve_duplex_with`] with an explicit admin switch: when `admin` is
+/// false, the session-wide `pause`/`resume` ops answer `{"ok":false,…}`
+/// instead of acting. Shared listeners ([`serve_tcp`]/[`serve_unix`])
+/// run every connection with `admin = false`, so no single remote
+/// client can stall every other client's jobs; the single-connection
+/// [`serve_duplex_with`] (whose transport the caller constructed and
+/// controls) allows them.
 fn serve_conn<R, W>(
     session: Arc<Compiler>,
     reader: R,
     writer: W,
     admin: bool,
     limits: ServiceLimits,
-    drain: Option<DrainHandle>,
+    drain: DrainHandle,
 ) -> io::Result<()>
 where
     R: Read,
@@ -297,7 +285,7 @@ where
         outstanding: &outstanding,
         total_jobs: 0,
         topologies: HashMap::new(),
-        drain: drain.as_ref(),
+        drain: &drain,
     };
 
     let mut result = Ok(());
@@ -453,7 +441,7 @@ fn handle_line(
             // Drain first, then quotas and backpressure — all cost a
             // flag/counter read, while parsing a hostile multi-megabyte
             // payload does not.
-            if conn.draining() {
+            if conn.drain.is_draining() {
                 return draining_line();
             }
             if let Err(response) = conn.admit(1) {
@@ -500,7 +488,7 @@ fn handle_line(
             qasm,
             bindings,
         } => {
-            if conn.draining() {
+            if conn.drain.is_draining() {
                 return draining_line();
             }
             if bindings.len() > conn.limits.max_sweep_bindings {
@@ -587,28 +575,7 @@ fn handle_line(
             let cancelled = handle.map(|h| h.cancel()).unwrap_or(false);
             format!("{{\"ok\":true,\"op\":\"cancel\",\"job\":{job},\"cancelled\":{cancelled}}}")
         }
-        Request::Stats => {
-            let m = conn.session.service_metrics();
-            let c = conn.session.cache_stats();
-            let skeleton = conn.session.skeleton_cache_stats();
-            let tiers = conn.session.tiered_cache_stats();
-            let oracle = conn.session.oracle_stats();
-            format!(
-                "{{\"ok\":true,\"op\":\"stats\",\"submitted\":{},\"queued\":{},\
-                 \"running\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
-                 \"cache\":{},\"skeleton_cache\":{},\"tiers\":{},\"oracle\":{}}}",
-                m.submitted,
-                m.queued,
-                m.running,
-                m.completed,
-                m.cancelled,
-                m.failed,
-                c.to_json(),
-                skeleton.to_json(),
-                tiers.to_json(),
-                oracle.to_json()
-            )
-        }
+        Request::Stats => StatsSnapshot::of(conn.session).to_line(),
         Request::Pause => {
             if !admin {
                 return error_line("`pause` is disabled on shared listeners");
@@ -699,45 +666,64 @@ fn idle_timeout_line(timeout: Option<Duration>) -> String {
     )
 }
 
-/// Accepts TCP connections forever, serving each on its own thread over
-/// the shared session with [`ServiceLimits::default`] limits. Bind the
-/// listener yourself (port 0 for tests):
+/// Accepts TCP connections until `drain` trips, serving each on its own
+/// thread over the shared session. Bind the listener yourself (port 0
+/// for tests):
 ///
 /// ```no_run
+/// use qompress_service::{DrainHandle, ServiceLimits};
 /// use std::net::TcpListener;
 /// use std::sync::Arc;
 /// let session = Arc::new(qompress::Compiler::builder().build());
 /// let listener = TcpListener::bind("127.0.0.1:7878").unwrap();
-/// qompress_service::serve_tcp(listener, session).unwrap();
+/// let drain = DrainHandle::new();
+/// qompress_service::serve_tcp(listener, session, ServiceLimits::default(), drain).unwrap();
 /// ```
 ///
-/// # Errors
+/// `limits.idle_timeout` is applied to every accepted stream via
+/// `set_read_timeout` (best-effort — a socket that refuses the option
+/// still serves, just without an idle timeout).
 ///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp(listener: TcpListener, session: Arc<Compiler>) -> io::Result<()> {
-    serve_tcp_with_limits(listener, session, ServiceLimits::default())
-}
-
-/// [`serve_tcp`] with explicit admission limits; `limits.idle_timeout`
-/// is applied to every accepted stream via `set_read_timeout`
-/// (best-effort — a socket that refuses the option still serves, just
-/// without an idle timeout).
+/// The listener is switched to nonblocking so the accept loop can poll
+/// `drain` every 25 ms, and the call **returns `Ok(())` once the handle
+/// trips** — no new connections are accepted from that point.
+/// Connections already being served keep running (their submits answer
+/// `draining`, their event streams flush); waiting out in-flight jobs is
+/// the caller's next step (see `qompress-serve --drain-timeout`).
 ///
 /// # Errors
 ///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp_with_limits(
+/// Returns the first `accept` error, or the listener's refusal to go
+/// nonblocking; per-connection I/O errors only end their own connection
+/// thread.
+pub fn serve_tcp(
     listener: TcpListener,
     session: Arc<Compiler>,
     limits: ServiceLimits,
+    drain: DrainHandle,
 ) -> io::Result<()> {
-    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, None)
+    listener.set_nonblocking(true)?;
+    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, drain)
 }
 
-/// How long a draining accept loop sleeps between polls of its
-/// (nonblocking) listener and the drain flag.
+/// [`serve_tcp`] over a Unix-domain socket listener.
+///
+/// # Errors
+///
+/// As [`serve_tcp`].
+#[cfg(unix)]
+pub fn serve_unix(
+    listener: std::os::unix::net::UnixListener,
+    session: Arc<Compiler>,
+    limits: ServiceLimits,
+    drain: DrainHandle,
+) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, drain)
+}
+
+/// How long an accept loop sleeps between polls of its nonblocking
+/// listener and the drain flag.
 const DRAIN_POLL: Duration = Duration::from_millis(25);
 
 /// An accepted socket stream, as the shared accept loop serves it.
@@ -751,8 +737,8 @@ macro_rules! socket {
     ($stream:ty) => {
         impl Socket for $stream {
             fn reader(&self, idle_timeout: Option<Duration>) -> io::Result<Self> {
-                // Streams may inherit nonblocking from a draining listener
-                // on some platforms. The idle timeout is best-effort: a
+                // Streams may inherit nonblocking from the listener on
+                // some platforms. The idle timeout is best-effort: a
                 // socket that refuses it still serves.
                 self.set_nonblocking(false)?;
                 let _ = self.set_read_timeout(idle_timeout);
@@ -766,19 +752,20 @@ socket!(std::net::TcpStream);
 #[cfg(unix)]
 socket!(std::os::unix::net::UnixStream);
 
-/// The accept loop behind every socket listener: serves each connection
-/// `accept` yields on its own thread with `admin = false`. With a drain
-/// handle the listener must be nonblocking: the loop polls the flag every
-/// [`DRAIN_POLL`] and returns `Ok(())` once it trips. A connection whose
-/// setup fails is dropped; only an `accept` error ends the loop.
+/// The accept loop behind both socket listeners: serves each connection
+/// `accept` yields on its own thread with `admin = false`. While the
+/// nonblocking listener has nothing to accept, the loop polls `drain`
+/// every [`DRAIN_POLL`], and it returns `Ok(())` once the handle trips.
+/// A connection whose setup fails is dropped; only an `accept` error
+/// ends the loop.
 fn accept_loop<S: Socket>(
     mut accept: impl FnMut() -> io::Result<S>,
     session: Arc<Compiler>,
     limits: ServiceLimits,
-    drain: Option<DrainHandle>,
+    drain: DrainHandle,
 ) -> io::Result<()> {
     loop {
-        if drain.as_ref().is_some_and(DrainHandle::is_draining) {
+        if drain.is_draining() {
             return Ok(());
         }
         let stream = match accept() {
@@ -801,88 +788,6 @@ fn accept_loop<S: Socket>(
             })
             .expect("spawn connection thread");
     }
-}
-
-/// [`serve_tcp_with_limits`] watching a [`DrainHandle`]: the listener is
-/// switched to nonblocking so the accept loop can poll the flag, and the
-/// call **returns `Ok(())` once the handle trips** — no new connections
-/// are accepted from that point. Connections already being served keep
-/// running (their submits answer `draining`, their event streams flush);
-/// waiting out in-flight jobs is the caller's next step (see
-/// `qompress-serve --drain-timeout`).
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp_draining(
-    listener: TcpListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-    drain: DrainHandle,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    accept_loop(
-        || listener.accept().map(|(s, _)| s),
-        session,
-        limits,
-        Some(drain),
-    )
-}
-
-/// [`serve_tcp`] over a Unix-domain socket listener.
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-) -> io::Result<()> {
-    serve_unix_with_limits(listener, session, ServiceLimits::default())
-}
-
-/// [`serve_unix`] with explicit admission limits; `limits.idle_timeout`
-/// is applied to every accepted stream via `set_read_timeout`
-/// (best-effort, as with [`serve_tcp_with_limits`]).
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix_with_limits(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-) -> io::Result<()> {
-    accept_loop(|| listener.accept().map(|(s, _)| s), session, limits, None)
-}
-
-/// [`serve_tcp_draining`] over a Unix-domain socket listener: returns
-/// `Ok(())` once the handle trips; already-accepted connections keep
-/// running with submits answering `draining`.
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix_draining(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-    drain: DrainHandle,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    accept_loop(
-        || listener.accept().map(|(s, _)| s),
-        session,
-        limits,
-        Some(drain),
-    )
 }
 
 #[cfg(test)]
@@ -956,8 +861,13 @@ mod tests {
         };
         let session = Arc::new(Compiler::builder().workers(1).build());
 
-        let err = accept_loop(accept, session, ServiceLimits::default(), None)
-            .expect_err("accept fails once the script runs out");
+        let err = accept_loop(
+            accept,
+            session,
+            ServiceLimits::default(),
+            DrainHandle::new(),
+        )
+        .expect_err("accept fails once the script runs out");
         assert_eq!(err.to_string(), "no more connections");
 
         let reply = served_written

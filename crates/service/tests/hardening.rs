@@ -8,8 +8,8 @@
 use qompress::{Compiler, Strategy};
 use qompress_qasm::to_qasm;
 use qompress_service::{
-    loopback, serve_duplex, serve_duplex_with_limits, ServiceClient, ServiceError, ServiceEvent,
-    ServiceLimits,
+    loopback, serve_duplex, serve_duplex_with, DrainHandle, ServiceClient, ServiceError,
+    ServiceEvent, ServiceLimits,
 };
 use qompress_workloads::{build, Benchmark};
 use std::io::{BufRead, BufReader, Write};
@@ -28,7 +28,13 @@ fn connect_with_limits(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            limits,
+            DrainHandle::new(),
+        )
     });
     let (reader, writer) = client_end.split();
     (ServiceClient::new(BufReader::new(reader), writer), server)
@@ -602,7 +608,13 @@ fn idle_connection_gets_a_timeout_line_then_a_clean_close() {
         ..ServiceLimits::default()
     };
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            limits,
+            DrainHandle::new(),
+        )
     });
 
     let (reader, mut writer) = client_end.split();
@@ -641,7 +653,7 @@ fn idle_timeout_over_tcp() {
         ..ServiceLimits::default()
     };
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_tcp_with_limits(listener, session, limits);
+        let _ = qompress_service::serve_tcp(listener, session, limits, DrainHandle::new());
     });
 
     let stream = TcpStream::connect(addr).unwrap();

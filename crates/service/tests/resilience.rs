@@ -9,11 +9,10 @@
 use qompress::{BreakerState, Compiler, FaultKind, FaultOp, FaultPlan, Strategy};
 use qompress_qasm::{parse_qasm, to_qasm};
 #[cfg(unix)]
-use qompress_service::serve_unix_draining;
+use qompress_service::serve_unix;
 use qompress_service::{
-    loopback, parse_topology_spec, result_fingerprint, serve_duplex_draining,
-    serve_duplex_with_limits, serve_tcp_draining, DrainHandle, RetryPolicy, ServiceClient,
-    ServiceError, ServiceEvent, ServiceLimits,
+    loopback, parse_topology_spec, result_fingerprint, serve_duplex_with, serve_tcp, DrainHandle,
+    RetryPolicy, ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
 };
 use qompress_workloads::random_circuit;
 use std::collections::HashMap;
@@ -26,23 +25,9 @@ use std::time::Duration;
 type LoopClient =
     ServiceClient<BufReader<qompress_service::LoopbackReader>, qompress_service::LoopbackWriter>;
 
-/// Spawns a loopback server with explicit limits; returns the connected
-/// client and the server thread handle.
-fn connect_with_limits(
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-) -> (LoopClient, std::thread::JoinHandle<std::io::Result<()>>) {
-    let (client_end, server_end) = loopback();
-    let (server_reader, server_writer) = server_end.split();
-    let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
-    });
-    let (reader, writer) = client_end.split();
-    (ServiceClient::new(BufReader::new(reader), writer), server)
-}
-
-/// Same, but on a draining connection handler.
-fn connect_draining(
+/// Spawns a loopback server with explicit limits, watching `drain`;
+/// returns the connected client and the server thread handle.
+fn connect(
     session: Arc<Compiler>,
     limits: ServiceLimits,
     drain: DrainHandle,
@@ -50,7 +35,7 @@ fn connect_draining(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_draining(session, server_reader, server_writer, limits, drain)
+        serve_duplex_with(session, server_reader, server_writer, limits, drain)
     });
     let (reader, writer) = client_end.split();
     (ServiceClient::new(BufReader::new(reader), writer), server)
@@ -77,7 +62,7 @@ fn busy_submits_retry_until_the_queue_drains() {
         max_queue_depth: 1,
         ..ServiceLimits::default()
     };
-    let (mut client, server) = connect_with_limits(Arc::clone(&session), limits);
+    let (mut client, server) = connect(Arc::clone(&session), limits, DrainHandle::new());
     client.set_retry_policy(fast_policy());
 
     // Pause the pool so the first submit parks in the queue, filling it.
@@ -207,7 +192,7 @@ fn chaos_over_the_wire_loses_no_job_and_the_breaker_recovers() {
         max_queue_depth: 4,
         ..ServiceLimits::default()
     };
-    let (mut client, server) = connect_draining(Arc::clone(&session), limits, drain.clone());
+    let (mut client, server) = connect(Arc::clone(&session), limits, drain.clone());
     client.set_retry_policy(RetryPolicy {
         max_attempts: 40,
         base_delay: Duration::from_millis(5),
@@ -271,7 +256,7 @@ fn retry_gives_up_at_the_attempt_cap() {
         max_queue_depth: 1,
         ..ServiceLimits::default()
     };
-    let (mut client, server) = connect_with_limits(Arc::clone(&session), limits);
+    let (mut client, server) = connect(Arc::clone(&session), limits, DrainHandle::new());
     client.set_retry_policy(RetryPolicy {
         max_attempts: 3,
         base_delay: Duration::from_millis(2),
@@ -310,7 +295,7 @@ fn fail_fast_policy_surfaces_busy_immediately() {
         max_queue_depth: 1,
         ..ServiceLimits::default()
     };
-    let (mut client, server) = connect_with_limits(Arc::clone(&session), limits);
+    let (mut client, server) = connect(Arc::clone(&session), limits, DrainHandle::new());
     // The default policy is RetryPolicy::none(): no sleeps, no retries.
 
     session.pause_workers();
@@ -337,7 +322,7 @@ fn fail_fast_policy_surfaces_busy_immediately() {
 fn draining_server_rejects_submits_but_streams_in_flight_work() {
     let session = Arc::new(Compiler::builder().workers(1).build());
     let drain = DrainHandle::new();
-    let (mut client, server) = connect_draining(
+    let (mut client, server) = connect(
         Arc::clone(&session),
         ServiceLimits::default(),
         drain.clone(),
@@ -394,9 +379,7 @@ fn reconnect_hook_rides_over_transport_loss() {
     let server = {
         let session = Arc::clone(&session);
         let drain = drain.clone();
-        std::thread::spawn(move || {
-            serve_tcp_draining(listener, session, ServiceLimits::default(), drain)
-        })
+        std::thread::spawn(move || serve_tcp(listener, session, ServiceLimits::default(), drain))
     };
 
     let dial = move || -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
@@ -455,9 +438,7 @@ fn draining_unix_listener_stops_accepting_but_streams_in_flight_work() {
     let drain = DrainHandle::new();
     let server = {
         let (session, drain) = (Arc::clone(&session), drain.clone());
-        std::thread::spawn(move || {
-            serve_unix_draining(listener, session, ServiceLimits::default(), drain)
-        })
+        std::thread::spawn(move || serve_unix(listener, session, ServiceLimits::default(), drain))
     };
     let stream = UnixStream::connect(&path).expect("connect");
     let reader = BufReader::new(stream.try_clone().expect("clone socket"));

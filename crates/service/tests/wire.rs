@@ -6,8 +6,8 @@
 use qompress::{BatchJob, Compiler, Strategy};
 use qompress_qasm::to_qasm;
 use qompress_service::{
-    loopback, parse_topology_spec, result_fingerprint, serve_duplex, ServiceClient, ServiceError,
-    ServiceEvent,
+    loopback, parse_topology_spec, result_fingerprint, serve_duplex, DrainHandle, ServiceClient,
+    ServiceError, ServiceEvent, ServiceLimits,
 };
 use qompress_workloads::{build, Benchmark};
 use std::collections::HashMap;
@@ -113,9 +113,12 @@ fn submit_sweep_streams_stamped_results_identical_to_direct_compiles() {
     let qasm = "OPENQASM 2.0;\nqreg q[4];\nh q[0];\nrz(theta0) q[0];\n\
                 cx q[0], q[1];\nrx(theta1) q[1];\ncx q[1], q[2];\n\
                 ry(theta0) q[2];\ncx q[2], q[3];\nrz(theta1) q[3];\n";
-    let bindings: Vec<Vec<f64>> = (0..4)
+    let mut bindings: Vec<Vec<f64>> = (0..4)
         .map(|i| vec![0.05 + 0.1 * i as f64, 2.0 - 0.3 * i as f64])
         .collect();
+    // The cache keys angles by bit pattern, so `-0.0` is a job of its own
+    // and must cross the wire with its sign.
+    bindings.push(vec![-0.0, 0.5]);
     let ids = client
         .submit_sweep("vqe", Strategy::Eqm, "grid:4", qasm, &bindings)
         .unwrap();
@@ -375,7 +378,12 @@ fn tcp_round_trip() {
     let addr = listener.local_addr().unwrap();
     let session = Arc::new(Compiler::builder().workers(1).build());
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_tcp(listener, session);
+        let _ = qompress_service::serve_tcp(
+            listener,
+            session,
+            ServiceLimits::default(),
+            DrainHandle::new(),
+        );
     });
 
     let stream = TcpStream::connect(addr).unwrap();
@@ -414,7 +422,12 @@ fn unix_socket_round_trip() {
     };
     let session = Arc::new(Compiler::builder().workers(1).build());
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_unix(listener, session);
+        let _ = qompress_service::serve_unix(
+            listener,
+            session,
+            ServiceLimits::default(),
+            DrainHandle::new(),
+        );
     });
 
     let stream = UnixStream::connect(&path).unwrap();
