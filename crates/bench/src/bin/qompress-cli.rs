@@ -38,20 +38,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_strategy(s: &str) -> Option<Strategy> {
-    Some(match s {
-        "qubit-only" => Strategy::QubitOnly,
-        "eqm" => Strategy::Eqm,
-        "rb" => Strategy::RingBased,
-        "awe" => Strategy::Awe,
-        "pp" => Strategy::ProgressivePairing,
-        "ec" => Strategy::Exhaustive { ordered: true },
-        "ec-unordered" => Strategy::Exhaustive { ordered: false },
-        "fq" => Strategy::FullQuquart,
-        _ => return None,
-    })
-}
-
 fn parse_benchmark(s: &str) -> Option<Benchmark> {
     ALL_BENCHMARKS.iter().copied().find(|b| b.name() == s)
 }
@@ -84,7 +70,7 @@ fn parse_args() -> Args {
             }
             "--strategy" | "-s" => {
                 let v = value(&mut i);
-                args.strategy = parse_strategy(&v).unwrap_or_else(|| usage());
+                args.strategy = Strategy::from_name(&v).unwrap_or_else(|| usage());
             }
             "--topology" | "-t" => args.topology = value(&mut i),
             "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -118,6 +104,19 @@ fn main() {
         _ => usage(),
     };
     let config = CompilerConfig::paper().with_t1_ratio(args.t1_ratio);
+
+    // Mapping panics on a program wider than the strategy can place, so
+    // refuse it up front with the sentence the wire service answers.
+    let max = args.strategy.max_qubits(topology.n_nodes());
+    if circuit.n_qubits() > max {
+        eprintln!(
+            "program has {} qubits but {} places at most {max} on `{}`",
+            circuit.n_qubits(),
+            args.strategy,
+            topology.name()
+        );
+        std::process::exit(2);
+    }
 
     println!(
         "benchmark {} @ {} qubits ({} gates, {} two-qubit) on {}",

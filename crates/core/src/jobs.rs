@@ -1,11 +1,13 @@
-//! Job identities, lifecycle states and handles for the session job
-//! service.
+//! Jobs of the session job service: the submitted [`BatchJob`], its
+//! identity, lifecycle state, outcome and handle.
 //!
 //! A [`crate::Compiler`] session owns a persistent worker pool (see
-//! `service.rs`); [`crate::Compiler::submit`] enqueues one
-//! [`crate::BatchJob`] and returns a [`JobHandle`] that supports
-//! [`poll`](JobHandle::poll), [`wait`](JobHandle::wait) and
-//! [`cancel`](JobHandle::cancel). Handles are cheap to clone and may
+//! `service.rs`); [`crate::Compiler::submit`] enqueues one [`BatchJob`]
+//! and returns a [`JobHandle`] that supports [`poll`](JobHandle::poll),
+//! [`wait`](JobHandle::wait) and [`cancel`](JobHandle::cancel). Every job
+//! ends in exactly one [`JobOutcome`], stored once when it reaches a
+//! terminal state; [`crate::Compiler::compile_batch`] returns those same
+//! outcomes for a whole job list. Handles are cheap to clone and may
 //! outlive the session: when a `Compiler` is dropped, still-queued jobs
 //! are marked [`JobStatus::Cancelled`] and every waiter is woken.
 //!
@@ -14,12 +16,53 @@
 //! time and pop job ids as they reach a terminal state, in completion
 //! order — the "stream results as they finish" primitive.
 
+use crate::parametric::SweepBinding;
 use crate::pipeline::CompilationResult;
 use crate::service::ServiceInner;
+use crate::strategies::Strategy;
+use qompress_arch::Topology;
+use qompress_circuit::Circuit;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// One independent compilation job: a `(circuit, strategy, topology)`
+/// triple plus a free-form label.
+#[derive(Debug, Clone)]
+pub struct BatchJob {
+    /// Free-form identifier echoed into the job's [`JobHandle::label`]
+    /// (benchmark name, file stem, sweep coordinates, …).
+    pub label: String,
+    /// When the job was minted by [`crate::ParamSweep::job`], the sweep
+    /// binding that routes it through the skeleton-stamp path instead of a
+    /// full pipeline run. `None` for ordinary jobs.
+    pub(crate) binding: Option<SweepBinding>,
+    /// The logical circuit to compile.
+    pub circuit: Circuit,
+    /// The compression strategy to apply.
+    pub strategy: Strategy,
+    /// The physical topology to compile onto.
+    pub topology: Topology,
+}
+
+impl BatchJob {
+    /// Convenience constructor.
+    pub fn new(
+        label: impl Into<String>,
+        circuit: Circuit,
+        strategy: Strategy,
+        topology: Topology,
+    ) -> Self {
+        BatchJob {
+            label: label.into(),
+            binding: None,
+            circuit,
+            strategy,
+            topology,
+        }
+    }
+}
 
 /// Identifier of one submitted job, unique within its session (ids start
 /// at 1 and increase in submit order).
@@ -116,9 +159,9 @@ pub(crate) struct JobState {
 #[derive(Debug)]
 pub(crate) struct JobInner {
     pub(crate) status: JobStatus,
-    pub(crate) result: Option<Arc<CompilationResult>>,
-    pub(crate) error: Option<String>,
-    pub(crate) watcher: Option<CompletionQueue>,
+    /// Set exactly when `status` is terminal.
+    outcome: Option<JobOutcome>,
+    watcher: Option<CompletionQueue>,
 }
 
 impl JobState {
@@ -126,30 +169,21 @@ impl JobState {
         JobState {
             inner: Mutex::new(JobInner {
                 status: JobStatus::Queued,
-                result: None,
-                error: None,
+                outcome: None,
                 watcher,
             }),
             done: Condvar::new(),
         }
     }
 
-    /// Moves the job to a terminal state, wakes every waiter, and notifies
-    /// the completion watcher (outside the state lock, so a watcher pop
-    /// racing this call never contends with it).
-    pub(crate) fn finish(
-        &self,
-        id: JobId,
-        status: JobStatus,
-        result: Option<Arc<CompilationResult>>,
-        error: Option<String>,
-    ) {
-        debug_assert!(status.is_terminal());
+    /// Stores the job's terminal `outcome`, wakes every waiter, and
+    /// notifies the completion watcher (outside the state lock, so a
+    /// watcher pop racing this call never contends with it).
+    pub(crate) fn finish(&self, id: JobId, outcome: JobOutcome) {
         let watcher = {
             let mut inner = self.inner.lock().expect("job state poisoned");
-            inner.status = status;
-            inner.result = result;
-            inner.error = error;
+            inner.status = outcome.status();
+            inner.outcome = Some(outcome);
             self.done.notify_all();
             inner.watcher.clone()
         };
@@ -170,6 +204,7 @@ impl JobState {
                 return false;
             }
             inner.status = JobStatus::Cancelled;
+            inner.outcome = Some(JobOutcome::Cancelled);
             self.done.notify_all();
             inner.watcher.clone()
         };
@@ -178,22 +213,6 @@ impl JobState {
             w.push(id);
         }
         true
-    }
-
-    fn outcome_locked(inner: &JobInner) -> Option<JobOutcome> {
-        match inner.status {
-            JobStatus::Done => Some(JobOutcome::Done(Arc::clone(
-                inner.result.as_ref().expect("done job must carry a result"),
-            ))),
-            JobStatus::Cancelled => Some(JobOutcome::Cancelled),
-            JobStatus::Failed => Some(JobOutcome::Failed(
-                inner
-                    .error
-                    .clone()
-                    .unwrap_or_else(|| "job panicked".to_string()),
-            )),
-            JobStatus::Queued | JobStatus::Running => None,
-        }
     }
 }
 
@@ -217,7 +236,7 @@ impl JobHandle {
         self.id
     }
 
-    /// The label copied from the submitted [`crate::BatchJob`].
+    /// The label copied from the submitted [`BatchJob`].
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -230,8 +249,12 @@ impl JobHandle {
     /// Returns the outcome if the job has reached a terminal state,
     /// without blocking.
     pub fn poll(&self) -> Option<JobOutcome> {
-        let inner = self.state.inner.lock().expect("job state poisoned");
-        JobState::outcome_locked(&inner)
+        self.state
+            .inner
+            .lock()
+            .expect("job state poisoned")
+            .outcome
+            .clone()
     }
 
     /// Blocks until the job reaches a terminal state and returns its
@@ -239,8 +262,8 @@ impl JobHandle {
     pub fn wait(&self) -> JobOutcome {
         let mut inner = self.state.inner.lock().expect("job state poisoned");
         loop {
-            if let Some(outcome) = JobState::outcome_locked(&inner) {
-                return outcome;
+            if let Some(outcome) = &inner.outcome {
+                return outcome.clone();
             }
             inner = self.state.done.wait(inner).expect("job state poisoned");
         }

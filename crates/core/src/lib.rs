@@ -16,13 +16,13 @@
 //! (see [`CacheStats`]), and runs a persistent worker pool behind an MPMC
 //! job queue — submit jobs with [`Compiler::submit`] and poll/wait/cancel
 //! them through [`JobHandle`]s, or hand a whole list to
-//! [`Compiler::compile_batch`] (a thin submit-all-then-wait wrapper over
-//! the same pool). The stage-level functions it runs behind its caches
-//! ([`compile_cached`], [`compile_with_options_cached`],
-//! [`route_cached`], [`map_circuit`], …) stay public for callers that
-//! time or replay the pipeline stage by stage. The `qompress-service`
-//! crate exposes the job service over a line-delimited JSON wire
-//! protocol.
+//! [`Compiler::compile_batch`], which submits every job to the same pool
+//! and returns each job's [`JobOutcome`] in input order. The stage-level
+//! functions it runs behind its caches ([`compile_cached`],
+//! [`compile_with_options_cached`], [`route_cached`], [`map_circuit`],
+//! …) stay public for callers that time or replay the pipeline stage by
+//! stage. The `qompress-service` crate exposes the job service over a
+//! line-delimited JSON wire protocol.
 //!
 //! ```
 //! use qompress::{Compiler, Strategy};
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
-mod batch;
 mod breaker;
 mod config;
 mod cost;
@@ -72,15 +71,12 @@ mod session;
 mod strategies;
 mod timeline;
 
-pub use batch::{
-    BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
-};
 pub use breaker::BreakerState;
 pub use config::CompilerConfig;
 pub use cost::{
     cx_class, gate_cost, gate_success, swap_class, DistanceOracle, OracleMode, OracleStats,
 };
-pub use jobs::{CompletionQueue, JobHandle, JobId, JobOutcome, JobStatus};
+pub use jobs::{BatchJob, CompletionQueue, JobHandle, JobId, JobOutcome, JobStatus};
 pub use layout::Layout;
 pub use mapping::{map_circuit, MappingOptions};
 pub use metrics::{coherence_eps, gate_eps_from_counts, Metrics};

@@ -22,7 +22,7 @@
 //! skeleton's site count and construction panics loudly rather than
 //! serving corrupt sweeps.
 
-use crate::batch::BatchJob;
+use crate::jobs::BatchJob;
 use crate::physical::PhysicalOp;
 use crate::pipeline::CompilationResult;
 use crate::result_cache::CacheStats;

@@ -8,17 +8,18 @@
 //! and joins the pool — no detached threads, no deadlock
 //! (regression-tested in `tests/service_jobs.rs`).
 //!
-//! Workers pull [`crate::BatchJob`]s from a shared FIFO queue, compile
-//! them against the session's shared state (topology registry + result
-//! cache), and publish the outcome through the job's
-//! [`crate::JobHandle`]. A panicking compilation marks its job
-//! [`crate::JobStatus::Failed`] with the panic message and the worker
-//! survives to serve the next job. Queue occupancy and lifecycle counters
-//! are tracked exactly in [`ServiceMetrics`].
+//! Workers pull [`crate::BatchJob`]s from a shared FIFO queue, resolve
+//! each job's topology through the session's registry, compile against
+//! the session's shared state (topology registry + result cache), and
+//! publish one [`crate::JobOutcome`] through the job's
+//! [`crate::JobHandle`]. A panicking compilation ends its job as
+//! [`crate::JobOutcome::Failed`] carrying the panic message, and the
+//! worker survives to serve the next job. Every caller — a single
+//! [`crate::Compiler::submit`], [`crate::Compiler::compile_batch`] or the
+//! wire front-end — takes this one path. Queue occupancy and lifecycle
+//! counters are tracked exactly in [`ServiceMetrics`].
 
-use crate::batch::BatchJob;
-use crate::jobs::{CompletionQueue, JobHandle, JobId, JobState, JobStatus};
-use crate::pipeline::TopologyCache;
+use crate::jobs::{BatchJob, CompletionQueue, JobHandle, JobId, JobOutcome, JobState, JobStatus};
 use crate::session::SessionState;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,13 +52,6 @@ pub struct ServiceMetrics {
 struct QueuedJob {
     id: JobId,
     job: BatchJob,
-    /// Pre-resolved `(structural fingerprint, topology cache)`, when the
-    /// submitter already computed them (the batch wrapper does): the
-    /// worker then neither re-hashes the topology nor consults the
-    /// registry, so even a batch spanning more distinct topologies than
-    /// the registry holds never rebuilds a cache inside the timed
-    /// compile phase.
-    tcache: Option<(u64, Arc<TopologyCache>)>,
     state: Arc<JobState>,
 }
 
@@ -132,7 +126,6 @@ impl JobService {
         &self,
         session: &Arc<SessionState>,
         job: BatchJob,
-        tcache: Option<(u64, Arc<TopologyCache>)>,
         watcher: Option<CompletionQueue>,
     ) -> JobHandle {
         let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
@@ -152,7 +145,6 @@ impl JobService {
             queue.jobs.push_back(QueuedJob {
                 id,
                 job,
-                tcache,
                 state: Arc::clone(&state),
             });
         }
@@ -302,40 +294,34 @@ fn worker_loop(session: Arc<SessionState>, inner: Arc<ServiceInner>) {
         // locks are only held inside short, panic-free critical sections
         // (`memoized` compiles outside the cache lock), so no lock is
         // poisoned by an unwinding compilation.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.compile_queued_job(&rec.job, rec.tcache.clone())
-        }));
-        match outcome {
-            Ok(result) => {
-                {
-                    let mut c = inner.counters.lock().expect("service counters poisoned");
-                    c.running -= 1;
-                    c.completed += 1;
-                }
-                rec.state
-                    .finish(rec.id, JobStatus::Done, Some(result), None);
-            }
-            Err(payload) => {
-                {
-                    let mut c = inner.counters.lock().expect("service counters poisoned");
-                    c.running -= 1;
-                    c.failed += 1;
-                }
-                rec.state
-                    .finish(rec.id, JobStatus::Failed, None, Some(panic_text(&payload)));
+        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.compile_queued_job(&rec.job)
+        })) {
+            Ok(result) => JobOutcome::Done(result),
+            Err(payload) => JobOutcome::Failed(panic_text(payload)),
+        };
+        {
+            let mut c = inner.counters.lock().expect("service counters poisoned");
+            c.running -= 1;
+            match outcome {
+                JobOutcome::Done(_) => c.completed += 1,
+                _ => c.failed += 1,
             }
         }
+        rec.state.finish(rec.id, outcome);
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
+/// Best-effort extraction of a panic payload's message. Taking the box
+/// by value means the downcasts see the payload itself: a `&Box<dyn Any>`
+/// would coerce to a `&dyn Any` whose concrete type is the box.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast::<&'static str>() {
+            Ok(message) => (*message).to_string(),
+            Err(_) => "job panicked".to_string(),
+        },
     }
 }
 
@@ -460,7 +446,10 @@ mod tests {
         ));
         match poisoned.wait() {
             JobOutcome::Failed(message) => {
-                assert!(!message.is_empty());
+                assert!(
+                    message.contains("architecture offers only"),
+                    "the outcome carries the panic message: {message}"
+                );
             }
             other => panic!("expected failure, got {other:?}"),
         }
@@ -498,11 +487,11 @@ mod tests {
 
     #[test]
     fn panic_text_extracts_common_payloads() {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new("literal");
-        assert_eq!(panic_text(&*boxed), "literal");
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
-        assert_eq!(panic_text(&*boxed), "owned");
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(17u32);
-        assert_eq!(panic_text(&*boxed), "job panicked");
+        // The payloads come from `catch_unwind`, exactly as in the worker.
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("f panics");
+        assert_eq!(panic_text(caught(|| panic!("literal"))), "literal");
+        assert_eq!(panic_text(caught(|| panic!("owned {}", 7))), "owned 7");
+        let caught = std::panic::catch_unwind(|| std::panic::panic_any(17u32));
+        assert_eq!(panic_text(caught.expect_err("panics")), "job panicked");
     }
 }

@@ -17,12 +17,13 @@
 //! * a **persistent worker pool** behind an MPMC job queue — the job
 //!   service. [`Compiler::submit`] enqueues one job and returns a
 //!   [`crate::JobHandle`] (poll/wait/cancel, exact
-//!   [`crate::ServiceMetrics`]); [`Compiler::compile_batch`] is a thin
-//!   submit-all-then-wait wrapper over the same pool, so streaming and
-//!   batch callers share one queue, one topology registry and one result
-//!   cache. Workers spawn on demand — the pool grows with outstanding
-//!   jobs up to the configured bound — and are joined when the session
-//!   drops (still-queued jobs are cancelled, waiters woken).
+//!   [`crate::ServiceMetrics`]); [`Compiler::compile_batch`] submits a
+//!   whole job list and returns each job's [`JobOutcome`] in input
+//!   order, so streaming and batch callers share one queue, one topology
+//!   registry, one result cache and one outcome type. Workers spawn on
+//!   demand — the pool grows with outstanding jobs up to the configured
+//!   bound — and are joined when the session drops (still-queued jobs
+//!   are cancelled, waiters woken).
 //!
 //! The paper's evaluation (§6) and its precursor communication/compression
 //! trade-off study recompile near-identical `(circuit, strategy,
@@ -46,12 +47,9 @@
 //! assert_eq!(session.cache_stats().hits, 1);
 //! ```
 
-use crate::batch::{
-    BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
-};
 use crate::breaker::CircuitBreaker;
 use crate::config::CompilerConfig;
-use crate::jobs::{CompletionQueue, JobHandle, JobOutcome};
+use crate::jobs::{BatchJob, CompletionQueue, JobHandle, JobOutcome};
 use crate::mapping::MappingOptions;
 use crate::parametric::{SkeletonArtifact, SweepResult};
 use crate::persist;
@@ -456,18 +454,11 @@ fn memory_stats<T: Clone>(cache: &Option<Mutex<ResultCache<T>>>) -> CacheStats {
 }
 
 impl SessionState {
-    /// One whole service/batch job. When the submitter pre-resolved the
-    /// job's topology fingerprint and [`TopologyCache`] (the batch wrapper
-    /// does), both are used directly — no per-job re-hash of the
-    /// topology, and immunity to registry eviction, so a batch spanning
-    /// more distinct topologies than the registry bound never rebuilds
-    /// precomputation mid-flight; otherwise both come from the registry.
-    pub(crate) fn compile_queued_job(
-        &self,
-        job: &BatchJob,
-        resolved: Option<(u64, Arc<TopologyCache>)>,
-    ) -> Arc<CompilationResult> {
-        let (topo_fp, tcache) = resolved.unwrap_or_else(|| self.resolve(&job.topology));
+    /// One whole job of the job service, on the worker that claimed it:
+    /// the topology comes from the registry, like every other session
+    /// compile.
+    pub(crate) fn compile_queued_job(&self, job: &BatchJob) -> Arc<CompilationResult> {
+        let (topo_fp, tcache) = self.resolve(&job.topology);
         let Some(binding) = &job.binding else {
             return self.compile_on(&job.circuit, topo_fp, &tcache, job.strategy);
         };
@@ -826,7 +817,7 @@ impl Compiler {
     /// while still queued is never compiled and never touches the
     /// session's result cache.
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        self.service.submit(&self.state, job, None, None)
+        self.service.submit(&self.state, job, None)
     }
 
     /// Like [`Compiler::submit`], additionally registering `watcher` to
@@ -835,8 +826,7 @@ impl Compiler {
     /// as they finish (the `qompress-service` wire front-end is built on
     /// exactly this).
     pub fn submit_watched(&self, job: BatchJob, watcher: &CompletionQueue) -> JobHandle {
-        self.service
-            .submit(&self.state, job, None, Some(watcher.clone()))
+        self.service.submit(&self.state, job, Some(watcher.clone()))
     }
 
     /// Exact lifecycle counters of the session's job service.
@@ -867,118 +857,22 @@ impl Compiler {
         self.service.resume();
     }
 
-    /// Compiles every job of `jobs` through the session's job service —
-    /// a thin submit-all-then-wait wrapper over [`Compiler::submit`] —
-    /// serving repeats (within this batch *and* from earlier session
-    /// work) out of the result cache.
+    /// Compiles every job of `jobs` through the session's job service:
+    /// each job is [`Compiler::submit`]ted, then every handle is waited
+    /// on. Returns each job's [`JobOutcome`] in input order —
+    /// `outcomes[i]` belongs to `jobs[i]`. A job whose compilation panics
+    /// (e.g. a circuit too large for its topology) is
+    /// [`JobOutcome::Failed`] with the panic message, and the other jobs
+    /// still complete.
     ///
-    /// Results come back in input order and are byte-identical for any
-    /// worker count; [`BatchResult::cache`] reports the cache activity
-    /// observed during this batch (exact when the session runs one batch
-    /// at a time; concurrent submitters on the same session fold into the
-    /// same counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job's compilation panics (e.g. a circuit too large
-    /// for its topology); callers that prefer per-job error values
-    /// should use [`Compiler::try_compile_batch`].
-    pub fn compile_batch(&self, jobs: &[BatchJob]) -> BatchResult {
-        let out = self.try_compile_batch(jobs);
-        let results: Vec<BatchJobResult> = out
-            .results
-            .into_iter()
-            .map(|r| match r {
-                Ok(result) => result,
-                Err(failure) => match failure.error {
-                    BatchJobError::Panicked(message) => {
-                        panic!("batch job `{}` panicked: {message}", failure.label)
-                    }
-                    BatchJobError::Cancelled => {
-                        // Unreachable through this wrapper: the handles never
-                        // escape, so nothing can cancel them.
-                        panic!("batch job `{}` was cancelled mid-batch", failure.label)
-                    }
-                },
-            })
-            .collect();
-        BatchResult {
-            results,
-            distinct_topologies: out.distinct_topologies,
-            elapsed: out.elapsed,
-            cache: out.cache,
-        }
-    }
-
-    /// The non-panicking sibling of [`Compiler::compile_batch`]: every
-    /// job gets an input-order `Result` slot, a failed job (compilation
-    /// panic, or a cancellation racing the batch) yields a
-    /// [`BatchJobFailure`] carrying the label and message, and **the
-    /// other jobs still complete** — one oversized circuit no longer
-    /// takes the caller (and the 23 good results) down with it.
-    ///
-    /// [`Compiler::compile_batch`] is a thin wrapper over this method
-    /// that panics on the first failure with the historical message.
-    pub fn try_compile_batch(&self, jobs: &[BatchJob]) -> TryBatchResult {
-        let stats_before = self.cache_stats();
-        // Resolve every job's topology cache up front (deduplicated by
-        // structural fingerprint) so the expensive expanded-graph
-        // construction happens once, outside the timed window, exactly as
-        // the scoped-thread engine did. The per-job `Arc` rides along
-        // with the queued job, so even a batch spanning more distinct
-        // topologies than the registry bound never rebuilds one
-        // mid-flight.
-        let per_job: Vec<(u64, Arc<TopologyCache>)> = jobs
-            .iter()
-            .map(|job| self.state.resolve(&job.topology))
-            .collect();
-        let distinct_topologies = {
-            let mut fps: Vec<u64> = per_job.iter().map(|(fp, _)| *fp).collect();
-            fps.sort_unstable();
-            fps.dedup();
-            fps.len()
-        };
-
-        let started = Instant::now();
-        let handles: Vec<JobHandle> = jobs
-            .iter()
-            .zip(&per_job)
-            .map(|(job, (fp, tcache))| {
-                self.service.submit(
-                    &self.state,
-                    job.clone(),
-                    Some((*fp, Arc::clone(tcache))),
-                    None,
-                )
-            })
-            .collect();
-        let results: Vec<Result<BatchJobResult, BatchJobFailure>> = handles
-            .iter()
-            .enumerate()
-            .map(|(job_index, handle)| match handle.wait() {
-                JobOutcome::Done(result) => Ok(BatchJobResult {
-                    label: handle.label().to_string(),
-                    job_index,
-                    result,
-                }),
-                JobOutcome::Failed(message) => Err(BatchJobFailure {
-                    label: handle.label().to_string(),
-                    job_index,
-                    error: BatchJobError::Panicked(message),
-                }),
-                JobOutcome::Cancelled => Err(BatchJobFailure {
-                    label: handle.label().to_string(),
-                    job_index,
-                    error: BatchJobError::Cancelled,
-                }),
-            })
-            .collect();
-        TryBatchResult {
-            results,
-            distinct_topologies,
-            elapsed: started.elapsed(),
-            cache: self.cache_stats().since(&stats_before),
-        }
+    /// Repeats, within this batch *and* from earlier session work, are
+    /// served out of the result cache, and the results are byte-identical
+    /// for any worker count. For the cache activity of one batch, take
+    /// [`Compiler::cache_stats`] before and after and compare with
+    /// [`CacheStats::since`].
+    pub fn compile_batch(&self, jobs: &[BatchJob]) -> Vec<JobOutcome> {
+        let handles: Vec<JobHandle> = jobs.iter().map(|job| self.submit(job.clone())).collect();
+        handles.iter().map(JobHandle::wait).collect()
     }
 
     /// The shared [`TopologyCache`] for `topo`, building it on first use
@@ -1287,30 +1181,113 @@ mod tests {
 
     #[test]
     fn batch_survives_topology_registry_eviction() {
-        // More distinct topologies than the registry holds: the per-job
-        // `Arc<TopologyCache>` rides along with each queued job, so the
-        // batch completes without rebuilding precomputation mid-flight
-        // even though the registry evicted the earliest structures.
+        // More distinct topologies than the registry holds, in
+        // strategy-major order: by the time a topology's second job runs,
+        // the registry has evicted it, so the worker rebuilds its
+        // precomputation. Every outcome must still equal a direct compile.
         let session = Compiler::builder().workers(2).build();
         let n = MAX_REGISTERED_TOPOLOGIES + 8;
-        let jobs: Vec<BatchJob> = (0..n)
-            .map(|i| {
-                BatchJob::new(
-                    format!("line-{}", i + 2),
-                    ghz(2),
-                    Strategy::QubitOnly,
-                    Topology::line(i + 2),
-                )
+        let jobs: Vec<BatchJob> = [Strategy::QubitOnly, Strategy::Eqm]
+            .into_iter()
+            .flat_map(|strategy| {
+                (0..n).map(move |i| {
+                    BatchJob::new(
+                        format!("line-{}-{strategy}", i + 2),
+                        ghz(2),
+                        strategy,
+                        Topology::line(i + 2),
+                    )
+                })
             })
             .collect();
-        let out = session.compile_batch(&jobs);
-        assert_eq!(out.results.len(), n);
-        assert_eq!(out.distinct_topologies, n);
+        let outcomes = session.compile_batch(&jobs);
+        assert_eq!(outcomes.len(), 2 * n);
         assert_eq!(session.registered_topologies(), MAX_REGISTERED_TOPOLOGIES);
-        for (job, r) in jobs.iter().zip(&out.results) {
-            assert_eq!(r.label, job.label);
-            assert!(r.result.metrics.total_eps > 0.0, "{}", job.label);
+        let direct = Compiler::builder().caching(false).build();
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let got = outcome.result().expect("every job compiles");
+            let want = direct.compile(&job.circuit, &job.topology, job.strategy);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", job.label);
         }
+    }
+
+    fn small_jobs() -> Vec<BatchJob> {
+        let mut jobs = Vec::new();
+        for (i, strategy) in [Strategy::QubitOnly, Strategy::Eqm, Strategy::RingBased]
+            .into_iter()
+            .enumerate()
+        {
+            jobs.push(BatchJob::new(
+                format!("ghz5-grid-{}", strategy.name()),
+                ghz(5),
+                strategy,
+                Topology::grid(5),
+            ));
+            jobs.push(BatchJob::new(
+                format!("ghz4-line-{i}"),
+                ghz(4),
+                strategy,
+                Topology::line(4),
+            ));
+        }
+        jobs
+    }
+
+    #[test]
+    fn batch_results_are_input_ordered() {
+        let jobs = small_jobs();
+        let outcomes = Compiler::builder().workers(3).build().compile_batch(&jobs);
+        assert_eq!(outcomes.len(), jobs.len());
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let result = outcome.result().expect("every job compiles");
+            assert_eq!(result.strategy, job.strategy.name(), "{}", job.label);
+        }
+    }
+
+    #[test]
+    fn topologies_are_deduplicated() {
+        let session = Compiler::builder().workers(2).build();
+        let _ = session.compile_batch(&small_jobs());
+        assert_eq!(
+            session.registered_topologies(),
+            2,
+            "grid-5 and line-4 caches only"
+        );
+    }
+
+    #[test]
+    fn batch_matches_direct_compilation() {
+        let jobs = small_jobs();
+        let outcomes = Compiler::builder().workers(4).build().compile_batch(&jobs);
+        let direct = Compiler::builder().caching(false).build();
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let got = outcome.result().expect("every job compiles");
+            let want = direct.compile(&job.circuit, &job.topology, job.strategy);
+            assert_eq!(got.metrics, want.metrics, "{}", job.label);
+            assert_eq!(got.schedule, want.schedule, "{}", job.label);
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let session = Compiler::builder().workers(4).build();
+        assert!(session.compile_batch(&[]).is_empty());
+        assert_eq!(session.registered_topologies(), 0);
+        assert_eq!(session.cache_stats(), CacheStats::default());
+        assert_eq!(session.service_metrics(), ServiceMetrics::default());
+    }
+
+    #[test]
+    fn duplicate_jobs_hit_the_cache() {
+        let mut jobs = small_jobs();
+        jobs.extend(small_jobs());
+        let session = Compiler::builder().workers(1).build();
+        let before = session.cache_stats();
+        let outcomes = session.compile_batch(&jobs);
+        assert!(outcomes.iter().all(|o| o.result().is_some()));
+        let stats = session.cache_stats().since(&before);
+        assert_eq!(stats.misses, 6, "six distinct jobs");
+        assert_eq!(stats.hits, 6, "six exact repeats");
     }
 
     #[test]

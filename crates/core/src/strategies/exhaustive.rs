@@ -1,5 +1,6 @@
-//! Exhaustive Compression (EC) — the paper's iterative greedy upper bound
-//! (§5.1, Figure 4).
+//! Exhaustive Compression (EC) — a greedy search that maximizes the
+//! compile objective one committed pair at a time (§5.1, Figure 4). It is
+//! not a bound: on some points a heuristic strategy scores higher.
 //!
 //! Each round recompiles the circuit once per candidate pair (in parallel
 //! on scoped threads) and commits the compression that most improves the

@@ -65,6 +65,15 @@ impl Strategy {
         }
     }
 
+    /// The strategy whose [`Strategy::name`] is `name`: one of
+    /// [`ALL_STRATEGIES`] or `ec-unordered`. `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        ALL_STRATEGIES
+            .into_iter()
+            .chain([Strategy::Exhaustive { ordered: false }])
+            .find(|s| s.name() == name)
+    }
+
     /// The most qubits this strategy can place on a device of `units`
     /// units; a wider circuit panics in mapping, so untrusted input is
     /// checked against this first. Qubit-only, FQ, PP and EC place one
@@ -184,6 +193,17 @@ mod tests {
             assert!(r.metrics.total_eps > 0.0, "{strategy}");
             assert!(r.metrics.total_eps <= 1.0, "{strategy}");
             assert_eq!(r.strategy, strategy.name());
+        }
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        let ec_unordered = Strategy::Exhaustive { ordered: false };
+        for strategy in ALL_STRATEGIES.into_iter().chain([ec_unordered]) {
+            assert_eq!(Strategy::from_name(strategy.name()), Some(strategy));
+        }
+        for unknown in ["", "bogus", "EQM", "ec-ordered"] {
+            assert_eq!(Strategy::from_name(unknown), None, "{unknown:?}");
         }
     }
 

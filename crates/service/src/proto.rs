@@ -40,7 +40,7 @@ use crate::json::{escape, Json};
 use qompress::persist::encode_result;
 use qompress::{
     BreakerState, CacheStats, CompilationResult, Compiler, JobStatus, OracleStats, ServiceMetrics,
-    Strategy, TieredCacheStats, ALL_STRATEGIES,
+    Strategy, TieredCacheStats,
 };
 use qompress_arch::{Fingerprinter, Topology};
 use std::fmt::Display;
@@ -290,14 +290,9 @@ impl Request {
     }
 }
 
-/// Looks a [`Strategy`] up by its wire name — every member of
-/// [`ALL_STRATEGIES`] plus the unordered exhaustive variant.
+/// Looks a [`Strategy`] up by its wire name ([`Strategy::from_name`]).
 pub fn strategy_by_name(name: &str) -> Result<Strategy, String> {
-    ALL_STRATEGIES
-        .into_iter()
-        .chain([Strategy::Exhaustive { ordered: false }])
-        .find(|s| s.name() == name)
-        .ok_or_else(|| format!("unknown strategy `{name}`"))
+    Strategy::from_name(name).ok_or_else(|| format!("unknown strategy `{name}`"))
 }
 
 /// Default upper bound on the size a topology spec may request. Qompress
@@ -765,6 +760,7 @@ fn read_counters<T: Default, N: TryFrom<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qompress::ALL_STRATEGIES;
 
     #[test]
     fn strategies_resolve_by_wire_name() {

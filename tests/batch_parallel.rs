@@ -1,8 +1,8 @@
 //! Batch-engine determinism: `Compiler::compile_batch` must return
-//! byte-identical results for the same job list at any worker count, and
+//! byte-identical outcomes for the same job list at any worker count, and
 //! must agree with compiling each job directly on a caching-off session.
 
-use qompress::{BatchJob, BatchResult, Compiler, Strategy, ALL_STRATEGIES};
+use qompress::{BatchJob, CompilationResult, Compiler, JobOutcome, Strategy, ALL_STRATEGIES};
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
 use qompress_workloads::{build, random_circuit, Benchmark};
@@ -53,29 +53,39 @@ fn sweep_jobs() -> Vec<BatchJob> {
 }
 
 /// Compiles `jobs` as one batch on a fresh `workers`-thread session.
-fn batch_on(workers: usize, jobs: &[BatchJob]) -> BatchResult {
+fn batch_on(workers: usize, jobs: &[BatchJob]) -> Vec<JobOutcome> {
     Compiler::builder()
         .workers(workers)
         .build()
         .compile_batch(jobs)
 }
 
-/// Renders every observable field of a batch result into one string, so
-/// "byte-identical" is a literal comparison.
-fn render(result: &BatchResult) -> String {
+/// The compiled result of a job that must succeed.
+fn done<'a>(job: &BatchJob, outcome: &'a JobOutcome) -> &'a CompilationResult {
+    match outcome {
+        JobOutcome::Done(result) => result,
+        other => panic!("job `{}` did not compile: {other:?}", job.label),
+    }
+}
+
+/// Renders every observable field of a batch's outcomes into one string,
+/// so "byte-identical" is a literal comparison.
+fn render(jobs: &[BatchJob], outcomes: &[JobOutcome]) -> String {
+    assert_eq!(outcomes.len(), jobs.len(), "one outcome per job");
     let mut out = String::new();
-    for r in &result.results {
+    for (i, (job, outcome)) in jobs.iter().zip(outcomes).enumerate() {
+        let r = done(job, outcome);
         out.push_str(&format!(
             "{} #{}\nstrategy: {}\nmetrics: {:?}\nschedule: {:?}\nplacements: {:?} -> {:?}\nencoded: {:?}\npairs: {:?}\n",
-            r.label,
-            r.job_index,
-            r.result.strategy,
-            r.result.metrics,
-            r.result.schedule,
-            r.result.initial_placements,
-            r.result.final_placements,
-            r.result.encoded_units,
-            r.result.pairs,
+            job.label,
+            i,
+            r.strategy,
+            r.metrics,
+            r.schedule,
+            r.initial_placements,
+            r.final_placements,
+            r.encoded_units,
+            r.pairs,
         ));
     }
     out
@@ -89,8 +99,8 @@ fn one_worker_and_many_workers_are_byte_identical() {
     for workers in [2usize, 4, 8] {
         let parallel = batch_on(workers, &jobs);
         assert_eq!(
-            render(&serial),
-            render(&parallel),
+            render(&jobs, &serial),
+            render(&jobs, &parallel),
             "worker count {workers} changed batch output"
         );
     }
@@ -99,14 +109,15 @@ fn one_worker_and_many_workers_are_byte_identical() {
 #[test]
 fn batch_agrees_with_serial_compile() {
     let jobs = sweep_jobs();
-    let out = batch_on(4, &jobs);
-    assert_eq!(out.results.len(), jobs.len());
+    let outcomes = batch_on(4, &jobs);
+    assert_eq!(outcomes.len(), jobs.len());
     let direct = Compiler::builder().caching(false).build();
-    for (job, got) in jobs.iter().zip(&out.results) {
+    for (job, outcome) in jobs.iter().zip(&outcomes) {
+        let got = done(job, outcome);
         let want = direct.compile(&job.circuit, &job.topology, job.strategy);
-        assert_eq!(got.result.metrics, want.metrics, "{}", job.label);
+        assert_eq!(got.metrics, want.metrics, "{}", job.label);
         assert_eq!(
-            format!("{:?}", got.result.schedule),
+            format!("{:?}", got.schedule),
             format!("{:?}", want.schedule),
             "{}",
             job.label
@@ -116,9 +127,10 @@ fn batch_agrees_with_serial_compile() {
 
 #[test]
 fn caches_are_shared_across_jobs_on_one_topology() {
-    let out = batch_on(4, &sweep_jobs());
+    let session = Compiler::builder().workers(4).build();
+    let _ = session.compile_batch(&sweep_jobs());
     // grid-8, line-8 and heavy-hex-65 only.
-    assert_eq!(out.distinct_topologies, 3);
+    assert_eq!(session.registered_topologies(), 3);
 }
 
 #[test]
@@ -129,16 +141,19 @@ fn every_strategy_runs_in_a_batch() {
         .into_iter()
         .map(|s| BatchJob::new(s.name(), c.clone(), s, topo.clone()))
         .collect();
-    let out = batch_on(4, &jobs);
-    for r in &out.results {
-        assert!(r.result.metrics.total_eps > 0.0, "{}", r.label);
+    let session = Compiler::builder().workers(4).build();
+    let outcomes = session.compile_batch(&jobs);
+    assert_eq!(outcomes.len(), jobs.len());
+    for (job, outcome) in jobs.iter().zip(&outcomes) {
+        let r = done(job, outcome);
+        assert!(r.metrics.total_eps > 0.0, "{}", job.label);
         assert!(
-            r.result.schedule.validate(&topo).is_empty(),
+            r.schedule.validate(&topo).is_empty(),
             "{}: invalid schedule",
-            r.label
+            job.label
         );
     }
-    assert_eq!(out.distinct_topologies, 1);
+    assert_eq!(session.registered_topologies(), 1);
 }
 
 #[test]
@@ -149,6 +164,6 @@ fn empty_circuits_compile_in_batches() {
         Strategy::QubitOnly,
         Topology::grid(3),
     )];
-    let out = batch_on(2, &jobs);
-    assert_eq!(out.results[0].result.logical_gates, 0);
+    let outcomes = batch_on(2, &jobs);
+    assert_eq!(done(&jobs[0], &outcomes[0]).logical_gates, 0);
 }

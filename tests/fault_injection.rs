@@ -3,11 +3,12 @@
 //! aborting, write-back failures (disk full, permission denied) never
 //! fail a compile, the disk-tier circuit breaker trips after consecutive
 //! I/O errors and recovers through a half-open probe, a torn write is
-//! caught on the next load, and `try_compile_batch` isolates per-job
-//! failures that `compile_batch` still turns into the historical panic.
+//! caught on the next load, and `compile_batch` isolates per-job failures
+//! as `JobOutcome::Failed` carrying the panic message.
 
 use qompress::{
-    BatchJob, BreakerState, CompilationResult, Compiler, FaultKind, FaultOp, FaultPlan, Strategy,
+    BatchJob, BreakerState, CompilationResult, Compiler, FaultKind, FaultOp, FaultPlan, JobOutcome,
+    Strategy,
 };
 use qompress_arch::Topology;
 use qompress_workloads::{build, random_circuit, Benchmark};
@@ -305,7 +306,7 @@ fn torn_write_is_caught_on_the_next_load() {
 }
 
 #[test]
-fn try_compile_batch_isolates_per_job_failures() {
+fn compile_batch_isolates_per_job_failures() {
     let session = Compiler::builder().workers(1).build();
     let jobs = vec![
         BatchJob::new(
@@ -328,24 +329,23 @@ fn try_compile_batch_isolates_per_job_failures() {
         ),
     ];
 
-    let batch = session.try_compile_batch(&jobs);
-    assert_eq!(batch.results.len(), 3, "every job reports, in input order");
-    assert_eq!(batch.succeeded(), 2);
-    assert_eq!(batch.failed(), 1);
-
-    let ok = batch.results[0].as_ref().expect("first job succeeds");
-    assert_eq!((ok.label.as_str(), ok.job_index), ("fine", 0));
-    let failure = batch.results[1].as_ref().expect_err("oversized job fails");
-    assert_eq!((failure.label.as_str(), failure.job_index), ("too-big", 1));
-    let rendered = failure.to_string();
-    assert!(
-        rendered.starts_with("batch job `too-big` panicked: "),
-        "failure display carries the job identity and panic message: {rendered}"
-    );
-    let ok = batch.results[2]
-        .as_ref()
+    let outcomes = session.compile_batch(&jobs);
+    assert_eq!(outcomes.len(), 3, "every job reports, in input order");
+    let ok = outcomes[0].result().expect("first job succeeds");
+    assert_eq!(ok.strategy, "eqm");
+    match &outcomes[1] {
+        JobOutcome::Failed(message) => assert!(
+            message.contains("architecture offers only"),
+            "the failure carries the panic message: {message}"
+        ),
+        other => panic!("oversized job must fail, got {other:?}"),
+    }
+    let ok = outcomes[2]
+        .result()
         .expect("job after the failure still runs");
-    assert_eq!((ok.label.as_str(), ok.job_index), ("also-fine", 2));
+    assert_eq!(ok.strategy, "awe");
+    let m = session.service_metrics();
+    assert_eq!((m.completed, m.failed), (2, 1));
 
     // Failures never poison the session: it keeps compiling.
     let _ = session.compile(
@@ -353,42 +353,4 @@ fn try_compile_batch_isolates_per_job_failures() {
         &Topology::grid(4),
         Strategy::Eqm,
     );
-}
-
-#[test]
-fn try_compile_batch_matches_compile_batch_results() {
-    let jobs: Vec<BatchJob> = (0..4)
-        .map(|i| {
-            BatchJob::new(
-                format!("job-{i}"),
-                random_circuit(4, 10 + i, i as u64),
-                Strategy::Eqm,
-                Topology::grid(4),
-            )
-        })
-        .collect();
-
-    let panicking = Compiler::builder().workers(2).caching(false).build();
-    let fallible = Compiler::builder().workers(2).caching(false).build();
-    let expected = panicking.compile_batch(&jobs);
-    let got = fallible.try_compile_batch(&jobs);
-    assert_eq!(got.distinct_topologies, expected.distinct_topologies);
-    for (a, b) in expected.results.iter().zip(&got.results) {
-        let b = b.as_ref().expect("all jobs placeable");
-        assert_eq!(a.label, b.label);
-        assert_eq!(render(&a.result), render(&b.result));
-    }
-}
-
-#[test]
-#[should_panic(expected = "batch job `too-big` panicked")]
-fn compile_batch_preserves_the_historical_panic() {
-    let session = Compiler::builder().workers(1).build();
-    let jobs = vec![BatchJob::new(
-        "too-big",
-        build(Benchmark::Cuccaro, 6, 7),
-        Strategy::QubitOnly,
-        Topology::line(2),
-    )];
-    let _ = session.compile_batch(&jobs);
 }

@@ -123,27 +123,29 @@ fn sweep_jobs_through_the_job_service_stamp_instead_of_recompiling() {
         .enumerate()
         .map(|(i, angles)| sweep.job(format!("bind-{i}"), Strategy::Eqm, topo.clone(), angles))
         .collect();
-    let out = session.compile_batch(&jobs);
+    let outcomes = session.compile_batch(&jobs);
 
     // All jobs of one `ParamSweep` share a single artifact slot: exactly
     // one structural compile, and the concrete result cache is bypassed
     // entirely (stamped results are never inserted).
     assert_eq!(
-        (out.cache.hits, out.cache.misses),
-        (0, 0),
+        session.cache_stats(),
+        CacheStats::default(),
         "sweep jobs must not touch the concrete cache"
     );
     let sk = session.skeleton_cache_stats();
     assert_eq!((sk.misses, sk.hits), (1, 0));
 
     let reference = Compiler::builder().caching(false).build();
-    for (job_result, angles) in out.results.iter().zip(&bindings) {
+    assert_eq!(outcomes.len(), jobs.len());
+    for ((job, outcome), angles) in jobs.iter().zip(&outcomes).zip(&bindings) {
+        let stamped = outcome.result().expect("sweep job compiles");
         let direct = reference.compile(&skeleton.bind(angles), &topo, Strategy::Eqm);
         assert_eq!(
-            format!("{:?}", *job_result.result),
+            format!("{:?}", **stamped),
             format!("{:?}", *direct),
             "{}",
-            job_result.label
+            job.label
         );
     }
 }

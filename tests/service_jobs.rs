@@ -1,9 +1,8 @@
 //! Job-service lifecycle guarantees: cancellation never perturbs the
 //! shared result cache, dropping a session joins its worker pool without
 //! deadlock (the submit-side sibling of
-//! `verify_hits_replays_exhaustive_strategy_without_deadlock`), and the
-//! batch wrapper over the service stays byte-identical to direct
-//! compilation.
+//! `verify_hits_replays_exhaustive_strategy_without_deadlock`), and a
+//! batch through the service stays byte-identical to streaming submits.
 
 use qompress::{BatchJob, CacheStats, Compiler, CompletionQueue, JobOutcome, JobStatus, Strategy};
 use qompress_arch::Topology;
@@ -163,38 +162,21 @@ fn batch_through_the_service_is_byte_identical_to_streaming_submits() {
         .map(|h| format!("{:?}", *h.wait().result().expect("job must succeed")))
         .collect();
 
-    // Batch path: the submit-all-then-wait wrapper on another session.
+    // Batch path: the same jobs as one batch on another session.
     let batcher = Compiler::builder().workers(2).caching(false).build();
-    let batch = batcher.compile_batch(&jobs);
-    for (job, (streamed, got)) in jobs.iter().zip(streamed.iter().zip(&batch.results)) {
+    let outcomes = batcher.compile_batch(&jobs);
+    assert_eq!(outcomes.len(), jobs.len());
+    for (job, (streamed, got)) in jobs.iter().zip(streamed.iter().zip(&outcomes)) {
+        let got = got.result().expect("job must succeed");
         assert_eq!(
             streamed,
-            &format!("{:?}", *got.result),
+            &format!("{:?}", **got),
             "{}: streaming and batch must agree byte-for-byte",
             job.label
         );
     }
     let m = batcher.service_metrics();
     assert_eq!((m.submitted, m.completed), (4, 4));
-}
-
-#[test]
-#[should_panic(expected = "panicked")]
-fn batch_propagates_job_panics() {
-    // One unplaceable job (6 qubits on a 2-node line) poisons the batch:
-    // the wrapper preserves the historical panic contract even though the
-    // service itself only marks the job failed.
-    let session = Compiler::builder().workers(1).build();
-    let jobs = vec![
-        job("fine", 5, Strategy::Eqm),
-        BatchJob::new(
-            "too-big",
-            build(Benchmark::Cuccaro, 6, 7),
-            Strategy::QubitOnly,
-            Topology::line(2),
-        ),
-    ];
-    let _ = session.compile_batch(&jobs);
 }
 
 #[test]

@@ -147,21 +147,19 @@ fn repeated_batch_sweep_hits_and_stays_byte_identical() {
     let with_cache = cached.compile_batch(&jobs);
     let without_cache = uncached.compile_batch(&jobs);
 
+    let stats = cached.cache_stats();
     assert!(
-        with_cache.cache.hits > 0,
-        "repeated sweep must hit the cache: {:?}",
-        with_cache.cache
+        stats.hits > 0,
+        "repeated sweep must hit the cache: {stats:?}"
     );
-    assert_eq!(
-        with_cache.cache.hits + with_cache.cache.misses,
-        jobs.len() as u64
-    );
-    assert_eq!(without_cache.cache, CacheStats::default());
+    assert_eq!(stats.hits + stats.misses, jobs.len() as u64);
+    assert_eq!(uncached.cache_stats(), CacheStats::default());
 
-    for (a, b) in with_cache.results.iter().zip(&without_cache.results) {
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.job_index, b.job_index);
-        assert_eq!(render(&a.result), render(&b.result), "{}", a.label);
+    assert_eq!(with_cache.len(), jobs.len());
+    assert_eq!(without_cache.len(), jobs.len());
+    for (job, (a, b)) in jobs.iter().zip(with_cache.iter().zip(&without_cache)) {
+        let (a, b) = (a.result().expect("compiles"), b.result().expect("compiles"));
+        assert_eq!(render(a), render(b), "{}", job.label);
     }
 }
 
@@ -177,14 +175,18 @@ fn session_outlives_batches_and_keeps_hitting() {
 
     let session = Compiler::builder().workers(2).build();
     let first = session.compile_batch(&jobs);
-    assert_eq!(first.cache.hits, 0);
-    assert_eq!(first.cache.misses, jobs.len() as u64);
+    let after_first = session.cache_stats();
+    assert_eq!(after_first.hits, 0);
+    assert_eq!(after_first.misses, jobs.len() as u64);
 
     let second = session.compile_batch(&jobs);
-    assert_eq!(second.cache.hits, jobs.len() as u64);
-    assert_eq!(second.cache.misses, 0);
-    for (a, b) in first.results.iter().zip(&second.results) {
-        assert_eq!(render(&a.result), render(&b.result));
+    let second_stats = session.cache_stats().since(&after_first);
+    assert_eq!(second_stats.hits, jobs.len() as u64);
+    assert_eq!(second_stats.misses, 0);
+    assert_eq!((first.len(), second.len()), (jobs.len(), jobs.len()));
+    for (a, b) in first.iter().zip(&second) {
+        let (a, b) = (a.result().expect("compiles"), b.result().expect("compiles"));
+        assert_eq!(render(a), render(b));
     }
 }
 
